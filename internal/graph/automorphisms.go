@@ -145,13 +145,28 @@ func anchoredAutomorphism(g *Graph, w int) (Automorphism, bool) {
 // swap the clockwise port 0 with the counterclockwise port 1, which an
 // agent can observe — so the group is exactly cyclic.
 func RingRotations(n int) []Automorphism {
-	auts := make([]Automorphism, 0, n)
-	for k := 0; k < n; k++ {
-		perm := make(Automorphism, n)
-		for v := 0; v < n; v++ {
-			perm[v] = (v + k) % n
+	auts := slabGroup(n, n)
+	for k, perm := range auts {
+		for v := range perm {
+			w := v + k
+			if w >= n {
+				w -= n
+			}
+			perm[v] = w
 		}
-		auts = append(auts, perm)
+	}
+	return auts
+}
+
+// slabGroup returns k automorphisms of n nodes carved from one backing
+// array, each capped at its own length so an append to one cannot
+// overwrite the next: the closed-form groups cost two allocations
+// instead of k+1.
+func slabGroup(k, n int) []Automorphism {
+	slab := make([]int, k*n)
+	auts := make([]Automorphism, k)
+	for i := range auts {
+		auts[i] = slab[i*n : (i+1)*n : (i+1)*n]
 	}
 	return auts
 }
@@ -163,16 +178,15 @@ func RingRotations(n int) []Automorphism {
 // direction ports), so the group is exactly the translation lattice.
 func TorusTranslations(rows, cols int) []Automorphism {
 	n := rows * cols
-	auts := make([]Automorphism, 0, n)
+	auts := slabGroup(n, n)
 	for dr := 0; dr < rows; dr++ {
 		for dc := 0; dc < cols; dc++ {
-			perm := make(Automorphism, n)
+			perm := auts[dr*cols+dc]
 			for r := 0; r < rows; r++ {
 				for c := 0; c < cols; c++ {
 					perm[r*cols+c] = ((r+dr)%rows)*cols + (c+dc)%cols
 				}
 			}
-			auts = append(auts, perm)
 		}
 	}
 	return auts
@@ -186,13 +200,11 @@ func TorusTranslations(rows, cols int) []Automorphism {
 // (Z/2)^d.
 func HypercubeTranslations(d int) []Automorphism {
 	n := 1 << d
-	auts := make([]Automorphism, 0, n)
-	for m := 0; m < n; m++ {
-		perm := make(Automorphism, n)
-		for v := 0; v < n; v++ {
+	auts := slabGroup(n, n)
+	for m, perm := range auts {
+		for v := range perm {
 			perm[v] = v ^ m
 		}
-		auts = append(auts, perm)
 	}
 	return auts
 }

@@ -277,3 +277,34 @@ func TestTorusPortsAreDirectionConsistent(t *testing.T) {
 		}
 	}
 }
+
+// TestClosedFormGroupAllocs bounds the allocations of the ring's
+// closed-form group on the largest ring the daemon serves by a
+// constant: the rotations share one backing slab rather than taking an
+// allocation each.
+func TestClosedFormGroupAllocs(t *testing.T) {
+	g := OrientedRing(512)
+	allocs := testing.AllocsPerRun(5, func() { Automorphisms(g) })
+	if allocs > 4 {
+		t.Errorf("Automorphisms(ring512) made %.0f allocations, want <= 4", allocs)
+	}
+}
+
+// TestSlabGroupMembersAreCapped: the closed-form groups share one
+// backing array, so each member's capacity must end at its own length
+// — an append to one automorphism must not overwrite the next.
+func TestSlabGroupMembersAreCapped(t *testing.T) {
+	for name, auts := range map[string][]Automorphism{
+		"ring-5":      RingRotations(5),
+		"torus-3x4":   TorusTranslations(3, 4),
+		"hypercube-3": HypercubeTranslations(3),
+	} {
+		next := append(Automorphism(nil), auts[1]...)
+		_ = append(auts[0], -1)
+		for v, img := range auts[1] {
+			if img != next[v] {
+				t.Fatalf("%s: appending to member 0 overwrote member 1: %v, want %v", name, auts[1], next)
+			}
+		}
+	}
+}

@@ -19,6 +19,12 @@
 // achieves the same value no later), so the reduced search reports
 // bit-for-bit the same witnesses and values as the unreduced one; only
 // Runs shrinks, by a factor of up to |Aut|.
+//
+// Cost model: Compute writes each representative's |Aut| images into
+// two dense tables indexed by p[0]*n + p[1] — an orbit index and an
+// index into the automorphism list — so it does O(|reps|·|Aut|) plain
+// array writes and holds 2·n² int32 (2 MB at n = 512) regardless of how
+// many pairs are listed.
 package orbits
 
 import (
@@ -29,60 +35,73 @@ import (
 
 // Pairs is the orbit decomposition of an ordered start-pair list.
 type Pairs struct {
-	reps    [][2]int
-	classOf map[[2]int]int
-	// via[p] maps p's representative onto p — the witness lift-back:
-	// a worst case observed at the representative transports to the
-	// equivalent configuration at p by applying via[p] to both starts.
-	via map[[2]int]graph.Automorphism
+	n    int
+	auts []graph.Automorphism
+	reps [][2]int
+	// classOf[p[0]*n+p[1]] is p's orbit index, -1 while unclassified.
+	classOf []int32
+	// via[p[0]*n+p[1]] indexes the automorphism that maps p's
+	// representative onto p — the witness lift-back: a worst case
+	// observed at the representative transports to the equivalent
+	// configuration at p by applying it to both starts. -1 stands for
+	// the identity (see Compute).
+	via []int32
 }
 
 // Compute decomposes pairs into orbits under the given automorphisms,
-// which must all act on the same node set [0, n). Pairs are classified
-// in list order, so each orbit's representative is its first listed
-// member; duplicates join the class of their first occurrence. Pair
-// entries outside [0, n) are an error — no orbit action exists there.
+// which must all be permutations of the same node set [0, n). Pairs are
+// classified in list order, so each orbit's representative is its first
+// listed member; duplicates join the class of their first occurrence.
+// Pair entries outside [0, n) are an error — no orbit action exists
+// there.
 func Compute(auts []graph.Automorphism, pairs [][2]int) (*Pairs, error) {
 	n := 0
 	if len(auts) > 0 {
 		n = len(auts[0])
 	}
 	o := &Pairs{
-		classOf: make(map[[2]int]int, len(pairs)),
-		via:     make(map[[2]int]graph.Automorphism, len(pairs)),
+		n:       n,
+		auts:    auts,
+		classOf: make([]int32, n*n),
+		via:     make([]int32, n*n),
+	}
+	for i := range o.classOf {
+		o.classOf[i] = -1
 	}
 	for i, p := range pairs {
 		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
 			return nil, fmt.Errorf("orbits: pair %d = %v out of range [0,%d)", i, p, n)
 		}
-		if _, seen := o.classOf[p]; seen {
+		at := p[0]*n + p[1]
+		if o.classOf[at] >= 0 {
 			continue
 		}
-		class := len(o.reps)
+		class := int32(len(o.reps))
 		o.reps = append(o.reps, p)
-		for _, a := range auts {
-			img := [2]int{a[p[0]], a[p[1]]}
-			if _, seen := o.classOf[img]; !seen {
+		for k, a := range auts {
+			img := a[p[0]]*n + a[p[1]]
+			if o.classOf[img] < 0 {
 				o.classOf[img] = class
-				o.via[img] = a
+				o.via[img] = int32(k)
 			}
 		}
 		// Defensive: guarantee the representative is classified even if
 		// the caller's group misses the identity.
-		if _, seen := o.classOf[p]; !seen {
-			o.classOf[p] = class
-			o.via[p] = identity(n)
+		if o.classOf[at] < 0 {
+			o.classOf[at] = class
+			o.via[at] = -1
 		}
 	}
 	return o, nil
 }
 
-func identity(n int) graph.Automorphism {
-	id := make(graph.Automorphism, n)
-	for i := range id {
-		id[i] = i
+// index returns p's table index, and false for pairs outside [0, n)².
+func (o *Pairs) index(p [2]int) (int, bool) {
+	if p[0] < 0 || p[0] >= o.n || p[1] < 0 || p[1] >= o.n {
+		return 0, false
 	}
-	return id
+	at := p[0]*o.n + p[1]
+	return at, o.classOf[at] >= 0
 }
 
 // Count returns the number of orbits among the listed pairs.
@@ -96,18 +115,28 @@ func (o *Pairs) Representatives() [][2]int { return o.reps }
 // Representative returns the canonical representative of p's orbit,
 // and whether p belongs to any computed orbit.
 func (o *Pairs) Representative(p [2]int) ([2]int, bool) {
-	class, ok := o.classOf[p]
+	at, ok := o.index(p)
 	if !ok {
 		return [2]int{}, false
 	}
-	return o.reps[class], true
+	return o.reps[o.classOf[at]], true
 }
 
 // Lift returns the automorphism carrying p's representative onto p —
 // the witness lift-back map: if a worst case is witnessed at starts
 // (r0, r1) = Representative(p), the identical outcome occurs at
-// (φ(r0), φ(r1)) = p for φ = Lift(p).
+// (φ(r0), φ(r1)) = p for φ = Lift(p). The caller must not mutate it.
 func (o *Pairs) Lift(p [2]int) (graph.Automorphism, bool) {
-	a, ok := o.via[p]
-	return a, ok
+	at, ok := o.index(p)
+	if !ok {
+		return nil, false
+	}
+	if k := o.via[at]; k >= 0 {
+		return o.auts[k], true
+	}
+	id := make(graph.Automorphism, o.n)
+	for i := range id {
+		id[i] = i
+	}
+	return id, true
 }

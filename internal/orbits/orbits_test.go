@@ -1,6 +1,9 @@
 package orbits
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"rendezvous/internal/graph"
@@ -168,5 +171,183 @@ func TestMissingIdentityStillClassifiesReps(t *testing.T) {
 	}
 	if phi, ok := o.Lift([2]int{0, 1}); !ok || phi[0] != 0 {
 		t.Fatalf("lift of the representative should be the identity fallback, got %v %v", phi, ok)
+	}
+}
+
+// refPairs is the map-based decomposition Compute used before its dense
+// tables, kept as the oracle of TestDenseMatchesReference.
+type refPairs struct {
+	reps    [][2]int
+	classOf map[[2]int]int
+	via     map[[2]int]graph.Automorphism
+}
+
+func refCompute(auts []graph.Automorphism, pairs [][2]int) (*refPairs, error) {
+	n := 0
+	if len(auts) > 0 {
+		n = len(auts[0])
+	}
+	o := &refPairs{
+		classOf: make(map[[2]int]int, len(pairs)),
+		via:     make(map[[2]int]graph.Automorphism, len(pairs)),
+	}
+	for i, p := range pairs {
+		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
+			return nil, fmt.Errorf("orbits: pair %d = %v out of range [0,%d)", i, p, n)
+		}
+		if _, seen := o.classOf[p]; seen {
+			continue
+		}
+		class := len(o.reps)
+		o.reps = append(o.reps, p)
+		for _, a := range auts {
+			img := [2]int{a[p[0]], a[p[1]]}
+			if _, seen := o.classOf[img]; !seen {
+				o.classOf[img] = class
+				o.via[img] = a
+			}
+		}
+		if _, seen := o.classOf[p]; !seen {
+			id := make(graph.Automorphism, n)
+			for i := range id {
+				id[i] = i
+			}
+			o.classOf[p] = class
+			o.via[p] = id
+		}
+	}
+	return o, nil
+}
+
+// randomGroup draws one automorphism list: a closed group of a
+// symmetric family (ring, torus, hypercube, circulant; closed form or
+// the generic propagation), or a list that is not a group — a single
+// rotation, a group missing its identity, a group with duplicates in
+// shuffled order, or arbitrary permutations.
+func randomGroup(rng *rand.Rand) (string, []graph.Automorphism) {
+	n := 2 + rng.Intn(8)
+	switch rng.Intn(9) {
+	case 0:
+		n = 3 + rng.Intn(8)
+		return fmt.Sprintf("ring-%d", n), graph.Automorphisms(graph.OrientedRing(n))
+	case 1:
+		r, c := 1+rng.Intn(4), 1+rng.Intn(4)
+		return fmt.Sprintf("torus-translations-%dx%d", r, c), graph.TorusTranslations(r, c)
+	case 2:
+		r, c := 3+rng.Intn(2), 3+rng.Intn(2)
+		return fmt.Sprintf("torus-%dx%d", r, c), graph.Automorphisms(graph.Torus(r, c))
+	case 3:
+		d := 1 + rng.Intn(4)
+		return fmt.Sprintf("hypercube-%d", d), graph.Automorphisms(graph.Hypercube(d))
+	case 4:
+		return fmt.Sprintf("circulant-%d", n), graph.Automorphisms(graph.CirculantComplete(n))
+	case 5:
+		k := rng.Intn(n)
+		return fmt.Sprintf("rotation-%d-of-%d", k, n), graph.RingRotations(n)[k : k+1]
+	case 6:
+		return fmt.Sprintf("ring-%d-without-identity", n), graph.RingRotations(n)[1:]
+	case 7:
+		group := graph.HypercubeTranslations(rng.Intn(4))
+		auts := append([]graph.Automorphism(nil), group...)
+		for i := rng.Intn(4); i > 0; i-- {
+			auts = append(auts, group[rng.Intn(len(group))])
+		}
+		rng.Shuffle(len(auts), func(i, j int) { auts[i], auts[j] = auts[j], auts[i] })
+		return fmt.Sprintf("hypercube-%d-duplicated-shuffled", len(group)), auts
+	default:
+		auts := make([]graph.Automorphism, 1+rng.Intn(4))
+		for i := range auts {
+			auts[i] = rng.Perm(n)
+		}
+		return fmt.Sprintf("%d-random-permutations-of-%d", len(auts), n), auts
+	}
+}
+
+// TestDenseMatchesReference is the differential test of the dense
+// tables: on seeded random automorphism lists and seeded random pair
+// lists with duplicates, Compute agrees with the map-based oracle on
+// Count, Representatives, and Representative and Lift of every pair in
+// [-1, n]², including those outside every orbit and out of range.
+func TestDenseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for c := 0; c < 400; c++ {
+		name, auts := randomGroup(rng)
+		n := len(auts[0])
+		pairs := make([][2]int, rng.Intn(2*n*n+1))
+		for i := range pairs {
+			pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+			if i > 0 && rng.Intn(4) == 0 {
+				pairs[i] = pairs[rng.Intn(i)] // duplicate an earlier entry
+			}
+		}
+		if len(pairs) > 0 && rng.Intn(20) == 0 {
+			pairs[rng.Intn(len(pairs))] = [2]int{n, rng.Intn(n)} // out of range
+		}
+		want, wantErr := refCompute(auts, pairs)
+		got, err := Compute(auts, pairs)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("case %d %s: error %v, want %v", c, name, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if got.Count() != len(want.reps) || !slices.Equal(got.Representatives(), want.reps) {
+			t.Fatalf("case %d %s: reps %v, want %v", c, name, got.Representatives(), want.reps)
+		}
+		for u := -1; u <= n; u++ {
+			for v := -1; v <= n; v++ {
+				p := [2]int{u, v}
+				class, wantOK := want.classOf[p]
+				var wantRep [2]int
+				if wantOK {
+					wantRep = want.reps[class]
+				}
+				if rep, ok := got.Representative(p); ok != wantOK || rep != wantRep {
+					t.Fatalf("case %d %s: Representative(%v) = %v,%v; want %v,%v", c, name, p, rep, ok, wantRep, wantOK)
+				}
+				phi, ok := got.Lift(p)
+				if wantPhi, wantOK := want.via[p]; ok != wantOK || !slices.Equal(phi, wantPhi) {
+					t.Fatalf("case %d %s: Lift(%v) = %v,%v; want %v,%v", c, name, p, phi, ok, wantPhi, wantOK)
+				}
+			}
+		}
+	}
+}
+
+// ringOffsets returns the pairs (0, k), k = 1..n-1: one per orbit of
+// the oriented n-ring, so the reduction keeps every pair.
+func ringOffsets(n int) [][2]int {
+	pairs := make([][2]int, 0, n-1)
+	for k := 1; k < n; k++ {
+		pairs = append(pairs, [2]int{0, k})
+	}
+	return pairs
+}
+
+// TestComputeAllocs bounds Compute's allocations on the largest ring
+// the daemon serves by a constant: the dense tables make the count
+// independent of |reps|·|Aut| (262k images here), which a per-image
+// allocation would multiply.
+func TestComputeAllocs(t *testing.T) {
+	auts := graph.Automorphisms(graph.OrientedRing(512))
+	offsets := ringOffsets(512)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Compute(auts, offsets); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 32 {
+		t.Errorf("Compute(ring512 group, offsets) made %.0f allocations, want <= 32", allocs)
+	}
+}
+
+func BenchmarkComputeRing512Offsets(b *testing.B) {
+	auts := graph.Automorphisms(graph.OrientedRing(512))
+	offsets := ringOffsets(512)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compute(auts, offsets); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,14 +32,49 @@ func newWorker(t testing.TB, store *resultstore.Store) *httptest.Server {
 	return ts
 }
 
+// newGatedWorker is newWorker with its /shard requests held until
+// dying's kill fires (holdShardsUntilKilled).
+func newGatedWorker(t testing.TB, dying *killableWorker) *httptest.Server {
+	t.Helper()
+	srv, err := New(Config{MaxConcurrent: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(holdShardsUntilKilled(srv.Handler(), dying))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
 // killableWorker proxies a real worker and, after `after` shard
 // requests, kills the connection of every later one (and fails its
-// health probes) — a daemon dying mid-search.
+// health probes) — a daemon dying mid-search. killed closes when the
+// first kill fires.
 type killableWorker struct {
-	ts     *httptest.Server
-	served atomic.Int32
-	dead   atomic.Bool
-	after  int32
+	ts       *httptest.Server
+	served   atomic.Int32
+	dead     atomic.Bool
+	after    int32
+	killed   chan struct{}
+	killOnce sync.Once
+}
+
+// holdShardsUntilKilled wraps a healthy worker's handler so its /shard
+// requests wait until kw's kill has fired. The dispatcher is
+// pull-based: left ungated, a fast healthy worker can drain the whole
+// queue before the dying one asks for the shard that kills it. Held,
+// the healthy side keeps at most its in-flight shards, so the rest of
+// the queue reaches the dying worker and the kill fires on every run.
+func holdShardsUntilKilled(h http.Handler, kw *killableWorker) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/shard" {
+			select {
+			case <-kw.killed:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 func newKillableWorker(t testing.TB, after int32) *killableWorker {
@@ -56,11 +92,12 @@ func newKillableWorkerCfg(t testing.TB, after int32, cfg Config) *killableWorker
 		t.Fatal(err)
 	}
 	handler := inner.Handler()
-	kw := &killableWorker{after: after}
+	kw := &killableWorker{after: after, killed: make(chan struct{})}
 	kw.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/shard" {
 			if kw.served.Add(1) > kw.after {
 				kw.dead.Store(true)
+				kw.killOnce.Do(func() { close(kw.killed) })
 				hj, ok := w.(http.Hijacker)
 				if !ok {
 					panic("hijack unsupported")
@@ -160,8 +197,8 @@ func TestDistributedEquivalenceMatrix(t *testing.T) {
 				}
 			})
 			t.Run(family+"/"+sym+"/worker-killed", func(t *testing.T) {
-				w1 := newWorker(t, nil)
 				dying := newKillableWorker(t, 1) // dies on its 2nd shard, mid-search
+				w1 := newGatedWorker(t, dying)
 				got, err := distribute(t, body, shards, nil, w1.URL, dying.ts.URL)
 				if err != nil {
 					t.Fatal(err)

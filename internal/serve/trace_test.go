@@ -23,15 +23,15 @@ import (
 func TestClusterTraceSpansBothDaemons(t *testing.T) {
 	coordTracer := trace.New(trace.Config{})
 
+	dying := newKillableWorkerCfg(t, 1, Config{MaxConcurrent: 4, Workers: 1,
+		Tracer: trace.New(trace.Config{}), Instance: "worker-2"})
 	w1srv, err := New(Config{MaxConcurrent: 4, Workers: 1,
 		Tracer: trace.New(trace.Config{}), Instance: "worker-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w1 := httptest.NewServer(w1srv.Handler())
+	w1 := httptest.NewServer(holdShardsUntilKilled(w1srv.Handler(), dying))
 	defer w1.Close()
-	dying := newKillableWorkerCfg(t, 1, Config{MaxConcurrent: 4, Workers: 1,
-		Tracer: trace.New(trace.Config{}), Instance: "worker-2"})
 
 	store, err := resultstore.Open(t.TempDir())
 	if err != nil {
