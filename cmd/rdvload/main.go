@@ -230,7 +230,7 @@ type Report struct {
 func searchBody(hot bool, coldID int64, n, l int, algo string) []byte {
 	delay := int64(0)
 	if !hot {
-		// MaxDelay bounds served delays; wrap far below it.
+		// scenario.MaxDelay (2^20) bounds served delays; wrap far below it.
 		delay = 1 + coldID%1_000_000
 	}
 	return []byte(fmt.Sprintf(

@@ -164,8 +164,8 @@ func (gs GraphSpec) Build() (*graph.Graph, error) {
 		if len(gs.Draws) == 0 {
 			return nil, fmt.Errorf("scenario: graph tree: draws is required (the sizes drawn from the seeded generator, in order)")
 		}
-		if len(gs.Draws) > MaxListLen {
-			return nil, fmt.Errorf("scenario: graph tree: draws is capped at %d entries", MaxListLen)
+		if len(gs.Draws) > MaxTreeDraws {
+			return nil, fmt.Errorf("scenario: graph tree: draws is capped at %d entries", MaxTreeDraws)
 		}
 		if gs.Take < 0 || gs.Take >= len(gs.Draws) {
 			return nil, fmt.Errorf("scenario: graph tree: take %d out of range [0,%d)", gs.Take, len(gs.Draws))

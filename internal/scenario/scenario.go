@@ -3,10 +3,11 @@
 // parameters, validated against the same caps the daemon serves under,
 // and compiled onto the internal/model contract. One scenario document
 // denotes exactly one search; a scenario file bundles the searches of
-// one experiment. Every front end that accepts scenarios — the rdvd
-// daemon's "scenario" body form, rdvbench -scenario — parses and
-// compiles through this package, so the accepted surface cannot drift
-// between them.
+// one experiment. Every front end that accepts searches — both body
+// forms of the rdvd daemon's /search and /shard (the inline fields are
+// lowered onto a Search), rdvbench -scenario — validates and compiles
+// through this package, so there is one validator and one caps table
+// and the accepted surface cannot drift between them.
 //
 // The format is deliberately generator-friendly: a document can spell
 // its configuration space either explicitly (labelPairs, startPairs,
@@ -25,14 +26,14 @@ import (
 	"rendezvous/internal/model"
 )
 
-// Format caps. A scenario can reach the shared daemon process, so the
-// same bound-the-allocation rules apply as to a hand-written /search
-// request; internal/serve aliases these constants so the two surfaces
-// cannot diverge. The one deliberate difference is the label-space
+// Format caps. Both /search body forms reach the shared daemon process
+// through this package, so these are the daemon's caps too: one
+// request must not be able to allocate it to death or pin a CPU
+// before admission. The one deliberate difference is the label-space
 // cap: the benchmark experiments sweep L up to 4096 (E3, E4, E11,
 // E14), so the format accepts that, while the daemon additionally
-// enforces its own stricter per-request cap (serve.MaxL) on scenarios
-// it serves.
+// enforces its own stricter per-request cap (serve.MaxL) on every
+// search it serves.
 const (
 	// Version is the format version this package parses.
 	Version = 1
@@ -41,11 +42,19 @@ const (
 	// MaxL caps the label-space size of a scenario document. The
 	// daemon's per-request cap (serve.MaxL) is stricter.
 	MaxL = 4096
-	// MaxDelay caps each wake delay.
+	// MaxDelay caps each wake delay. An unbounded delay would drive the
+	// generic executor's meeting scan to a horizon of wakeB +
+	// |schedule| rounds — an effectively infinite loop no context can
+	// cancel mid-execution.
 	MaxDelay = 1 << 20
 	// MaxListLen caps each explicit enumeration list (labelPairs,
 	// startPairs, delays) and the phase list.
 	MaxListLen = 1 << 16
+	// MaxTreeDraws caps the draws list of the tree family. Build
+	// generates every tree up to take, so the list length multiplies
+	// the graph-construction work done per request; the committed
+	// experiments draw at most two trees from one stream.
+	MaxTreeDraws = 64
 	// MaxSearches caps the search count of a scenario file.
 	MaxSearches = 4096
 )

@@ -74,6 +74,7 @@ func TestCompileRejections(t *testing.T) {
 		{"tree without draws", `{"version":1,"graph":{"family":"tree","seed":7},"algorithm":"cheap","l":4}`, "draws is required"},
 		{"tree take out of range", `{"version":1,"graph":{"family":"tree","seed":7,"draws":[10],"take":1},"algorithm":"cheap","l":4}`, "take 1 out of range"},
 		{"tree draw over the cap", `{"version":1,"graph":{"family":"tree","seed":7,"draws":[1000],"take":0},"algorithm":"cheap","l":4}`, "maximum of 512 nodes"},
+		{"tree draws over the cap", `{"version":1,"graph":{"family":"tree","seed":7,"draws":[` + strings.TrimSuffix(strings.Repeat("2,", scenario.MaxTreeDraws+1), ",") + `],"take":0},"algorithm":"cheap","l":4}`, "draws is capped at 64 entries"},
 		{"tree draw too small", `{"version":1,"graph":{"family":"tree","seed":7,"draws":[10,1],"take":0},"algorithm":"cheap","l":4}`, "draws[1]"},
 		{"l over the cap", `{"version":1,"graph":{"family":"ring","n":8},"algorithm":"cheap","l":4097}`, "exceeds the maximum 4096"},
 		{"l too small", `{"version":1,"graph":{"family":"ring","n":8},"algorithm":"cheap","l":1}`, "need l >= 2"},
@@ -98,6 +99,39 @@ func TestCompileRejections(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %q, want it to mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestGraphSpecFamilies sanity-checks every accepted family builds
+// the advertised graph.
+func TestGraphSpecFamilies(t *testing.T) {
+	cases := []struct {
+		spec  scenario.GraphSpec
+		wantN int
+	}{
+		{scenario.GraphSpec{Family: "ring", N: 8}, 8},
+		{scenario.GraphSpec{Family: "path", N: 5}, 5},
+		{scenario.GraphSpec{Family: "star", N: 6}, 6},
+		{scenario.GraphSpec{Family: "complete", N: 5}, 5},
+		{scenario.GraphSpec{Family: "circulant", N: 5}, 5},
+		{scenario.GraphSpec{Family: "grid", Rows: 3, Cols: 4}, 12},
+		{scenario.GraphSpec{Family: "torus", Rows: 3, Cols: 3}, 9},
+		{scenario.GraphSpec{Family: "hypercube", N: 3}, 8},
+		{scenario.GraphSpec{Family: "tree", Seed: 7, Draws: []int{10, 16}, Take: 1}, 16},
+	}
+	for _, tc := range cases {
+		t.Run(tc.spec.Family, func(t *testing.T) {
+			g, err := tc.spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.N() != tc.wantN {
+				t.Errorf("N = %d, want %d", g.N(), tc.wantN)
+			}
+			if err := g.Validate(); err != nil {
+				t.Error(err)
 			}
 		})
 	}

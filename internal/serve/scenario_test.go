@@ -10,33 +10,76 @@ import (
 	"rendezvous/internal/scenario"
 )
 
-// TestScenarioFormMatchesInline pins the tentpole at the HTTP layer: a
-// scenario-form request describing the same search as an inline-form
-// request compiles to the same fingerprint, so the second spelling is
-// answered from the store without touching the engine, with an
-// identical result.
+// TestScenarioFormMatchesInline pins the lowering at the HTTP layer:
+// for every graph family, both non-default symmetry modes and
+// explicitly empty lists, a scenario-form request describing the same
+// search as an inline-form request compiles to the same fingerprint,
+// so the second spelling is answered from the store without touching
+// the engine, with an identical result.
 func TestScenarioFormMatchesInline(t *testing.T) {
 	_, ts := newTestServer(t)
-	status, inline := postSearch(t, ts.URL, ringRequest)
-	if status != http.StatusOK {
-		t.Fatalf("inline form: status %d (%s)", status, inline.Error)
+	cases := []struct {
+		name, inline, scenario string
+	}{
+		{"ring", ringRequest,
+			`{"version":1,"graph":{"family":"ring","n":6},"explorer":"ring-sweep","algorithm":"cheap","l":3,"delays":[0,1]}`},
+		{"path",
+			`{"graph":{"family":"path","n":4},"algorithm":"cheap","L":3,"delays":[0]}`,
+			`{"version":1,"graph":{"family":"path","n":4},"algorithm":"cheap","l":3,"delays":[0]}`},
+		{"star",
+			`{"graph":{"family":"star","n":5},"algorithm":"fast","L":3,"delays":[0,1]}`,
+			`{"version":1,"graph":{"family":"star","n":5},"algorithm":"fast","l":3,"delays":[0,1]}`},
+		{"complete",
+			`{"graph":{"family":"complete","n":4},"algorithm":"cheap","L":3,"delays":[0]}`,
+			`{"version":1,"graph":{"family":"complete","n":4},"algorithm":"cheap","l":3,"delays":[0]}`},
+		{"circulant",
+			`{"graph":{"family":"circulant","n":5},"algorithm":"cheap","L":3,"delays":[0]}`,
+			`{"version":1,"graph":{"family":"circulant","n":5},"algorithm":"cheap","l":3,"delays":[0]}`},
+		{"grid",
+			`{"graph":{"family":"grid","rows":2,"cols":3},"algorithm":"fast","L":3,"delays":[0]}`,
+			`{"version":1,"graph":{"family":"grid","rows":2,"cols":3},"algorithm":"fast","l":3,"delays":[0]}`},
+		{"torus symmetry off",
+			`{"graph":{"family":"torus","rows":3,"cols":3},"algorithm":"cheap","L":3,"delays":[0],"symmetry":"off"}`,
+			`{"version":1,"graph":{"family":"torus","rows":3,"cols":3},"algorithm":"cheap","l":3,"delays":[0],"symmetry":"off"}`},
+		{"hypercube symmetry forced",
+			`{"graph":{"family":"hypercube","n":3},"algorithm":"cheap","L":3,"delays":[0],"symmetry":"forced"}`,
+			`{"version":1,"graph":{"family":"hypercube","n":3},"algorithm":"cheap","l":3,"delays":[0],"symmetry":"forced"}`},
+		{"tree",
+			`{"graph":{"family":"tree","seed":7,"draws":[5,6],"take":1},"explorer":"dfs","algorithm":"cheap","L":3,"delays":[0]}`,
+			`{"version":1,"graph":{"family":"tree","seed":7,"draws":[5,6],"take":1},"explorer":"dfs","algorithm":"cheap","l":3,"delays":[0]}`},
+		{"inline empty lists",
+			`{"graph":{"family":"ring","n":5},"algorithm":"cheap","L":3,"labelPairs":[],"startPairs":[],"delays":[]}`,
+			`{"version":1,"graph":{"family":"ring","n":5},"algorithm":"cheap","l":3}`},
+		{"scenario empty lists",
+			`{"graph":{"family":"ring","n":7},"algorithm":"cheap","L":3}`,
+			`{"version":1,"graph":{"family":"ring","n":7},"algorithm":"cheap","l":3,"labelPairs":[],"startPairs":[],"delays":[]}`},
+		{"implied L",
+			`{"graph":{"family":"ring","n":4},"algorithm":"fast","labelPairs":[[1,3],[3,2]],"delays":[0]}`,
+			`{"version":1,"graph":{"family":"ring","n":4},"algorithm":"fast","l":3,"labelPairs":[[1,3],[3,2]],"delays":[0]}`},
 	}
-	if inline.Result == nil || *inline.Result != ringWant(t) {
-		t.Fatalf("inline form: result %+v", inline.Result)
-	}
-	scenarioBody := `{"scenario":{"version":1,"graph":{"family":"ring","n":6},"explorer":"ring-sweep","algorithm":"cheap","l":3,"delays":[0,1]}}`
-	status, scen := postSearch(t, ts.URL, scenarioBody)
-	if status != http.StatusOK {
-		t.Fatalf("scenario form: status %d (%s)", status, scen.Error)
-	}
-	if scen.Fingerprint != inline.Fingerprint {
-		t.Errorf("the two spellings fingerprint apart: inline %s, scenario %s", inline.Fingerprint, scen.Fingerprint)
-	}
-	if !scen.Cached {
-		t.Error("the scenario spelling missed the cache entry the inline spelling wrote")
-	}
-	if scen.Result == nil || *scen.Result != *inline.Result {
-		t.Errorf("scenario form: result %+v, want %+v", scen.Result, inline.Result)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			status, inline := postSearch(t, ts.URL, tc.inline)
+			if status != http.StatusOK || inline.Result == nil {
+				t.Fatalf("inline form: status %d (%s)", status, inline.Error)
+			}
+			if tc.inline == ringRequest && *inline.Result != ringWant(t) {
+				t.Fatalf("inline form: result %+v, want %+v", inline.Result, ringWant(t))
+			}
+			status, scen := postSearch(t, ts.URL, `{"scenario":`+tc.scenario+`}`)
+			if status != http.StatusOK {
+				t.Fatalf("scenario form: status %d (%s)", status, scen.Error)
+			}
+			if scen.Fingerprint != inline.Fingerprint {
+				t.Errorf("the two spellings fingerprint apart: inline %s, scenario %s", inline.Fingerprint, scen.Fingerprint)
+			}
+			if !scen.Cached {
+				t.Error("the scenario spelling missed the cache entry the inline spelling wrote")
+			}
+			if scen.Result == nil || *scen.Result != *inline.Result {
+				t.Errorf("scenario form: result %+v, want %+v", scen.Result, inline.Result)
+			}
+		})
 	}
 }
 
@@ -99,6 +142,9 @@ func TestScenarioFormRejections(t *testing.T) {
 	}{
 		{"inline fields alongside scenario",
 			`{"algorithm":"cheap","scenario":{"version":1,"graph":{"family":"ring","n":6},"algorithm":"cheap","l":3}}`,
+			"mutually exclusive"},
+		{"inline graph draws alongside scenario",
+			`{"graph":{"draws":[5]},"scenario":{"version":1,"graph":{"family":"ring","n":6},"algorithm":"cheap","l":3}}`,
 			"mutually exclusive"},
 		{"scenario l over the served cap",
 			`{"scenario":{"version":1,"graph":{"family":"ring","n":6},"algorithm":"cheap","l":1024}}`,

@@ -5,9 +5,11 @@
 // The request path is ordered so that repeated traffic is as cheap as
 // possible:
 //
-//  1. Parse and validate the request; compile it to an engine spec.
-//     Every malformed request dies here with a 400 — nothing below
-//     this line can panic the daemon.
+//  1. Parse the request and lower it onto a scenario.Search (the
+//     inline fields are sugar for a paper-model scenario document),
+//     then validate and compile it through internal/scenario. Every
+//     malformed request dies here with a 400 — nothing below this
+//     line can panic the daemon.
 //  2. Fingerprint the compiled search (resultstore canonicalization:
 //     equivalent request spellings collide) and look it up in the
 //     store. A hit is answered immediately without touching the
@@ -53,6 +55,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -64,9 +67,6 @@ import (
 	"rendezvous/internal/adversary"
 	"rendezvous/internal/auth"
 	"rendezvous/internal/cluster"
-	"rendezvous/internal/core"
-	"rendezvous/internal/explore"
-	"rendezvous/internal/graph"
 	"rendezvous/internal/metrics"
 	"rendezvous/internal/model"
 	"rendezvous/internal/resultstore"
@@ -77,128 +77,30 @@ import (
 
 // Request size caps. The daemon is a shared process: one oversized
 // request must not be able to allocate it to death (a Go out-of-memory
-// is a fatal throw no middleware can recover), so graph and label
-// sizes are bounded far above every experiment in the repository but
-// far below anything that could hurt. Oversized requests are 400s.
-// Shared caps are aliased to the scenario format's, so the inline
-// request form and the declarative scenario form can never drift on
-// what sizes they admit.
+// is a fatal throw no middleware can recover). Both body forms lower
+// onto a scenario.Search and are validated against the scenario
+// format's caps (graph size, delays, list lengths, tree draws), so
+// the two forms cannot drift on what they admit; the daemon adds only
+// the two caps below. Oversized requests are 400s.
 const (
-	// MaxNodes caps the served graph size (nodes).
-	MaxNodes = scenario.MaxNodes
 	// MaxL caps the served label-space size. Deliberately stricter than
 	// the format-level scenario.MaxL (which admits offline benchmark
-	// sweeps): the daemon enforces this cap on scenario-form requests
-	// too, on the scenario's resolved L.
+	// sweeps); enforced on the resolved L of both body forms.
 	MaxL = 512
-	// MaxDelay caps each wake delay. An unbounded delay would drive the
-	// generic executor's meeting scan to a horizon of wakeB + |schedule|
-	// rounds — an effectively infinite, per-execution-uncancellable
-	// loop.
-	MaxDelay = scenario.MaxDelay
-	// MaxListLen caps each explicit enumeration list (labelPairs,
-	// startPairs, delays).
-	MaxListLen = scenario.MaxListLen
 	// MaxBodyBytes caps the request body read off the wire, so a
 	// multi-gigabyte JSON document dies at the decoder, not in the
 	// allocator.
 	MaxBodyBytes = 8 << 20
 )
 
-// GraphSpec names a graph family and its parameters. Only
-// deterministic families are served (no seeded random generators), so
-// a spec denotes exactly one graph. Sizes are capped at MaxNodes.
-type GraphSpec struct {
-	// Family is one of ring, path, star, complete, circulant, grid,
-	// torus, hypercube.
-	Family string `json:"family"`
-	// N is the node count (the dimension for hypercube).
-	N int `json:"n,omitempty"`
-	// Rows and Cols parameterize grid and torus.
-	Rows int `json:"rows,omitempty"`
-	Cols int `json:"cols,omitempty"`
-}
-
-// nodes returns the node count the spec denotes, for the size cap.
-// Each dimension is bounds-checked before any multiplication so a
-// crafted huge Rows/Cols pair cannot overflow past the cap.
-func (gs GraphSpec) nodes() int {
-	switch gs.Family {
-	case "grid", "torus":
-		if gs.Rows < 0 || gs.Rows > MaxNodes || gs.Cols < 0 || gs.Cols > MaxNodes {
-			return MaxNodes + 1
-		}
-		return gs.Rows * gs.Cols
-	case "hypercube":
-		if gs.N < 1 || gs.N > 20 {
-			return -1
-		}
-		return 1 << gs.N
-	default:
-		return gs.N
-	}
-}
-
-// Build validates the spec and constructs the graph. It never panics:
-// every parameter the generators would reject is caught here first.
-func (gs GraphSpec) Build() (*graph.Graph, error) {
-	if n := gs.nodes(); n > MaxNodes {
-		return nil, fmt.Errorf("serve: graph %s: size exceeds the served maximum of %d nodes", gs.Family, MaxNodes)
-	}
-	switch gs.Family {
-	case "ring":
-		if gs.N < 3 {
-			return nil, fmt.Errorf("serve: graph ring: need n >= 3 (got %d)", gs.N)
-		}
-		return graph.OrientedRing(gs.N), nil
-	case "path":
-		if gs.N < 2 {
-			return nil, fmt.Errorf("serve: graph path: need n >= 2 (got %d)", gs.N)
-		}
-		return graph.Path(gs.N), nil
-	case "star":
-		if gs.N < 2 {
-			return nil, fmt.Errorf("serve: graph star: need n >= 2 (got %d)", gs.N)
-		}
-		return graph.Star(gs.N), nil
-	case "complete":
-		if gs.N < 2 {
-			return nil, fmt.Errorf("serve: graph complete: need n >= 2 (got %d)", gs.N)
-		}
-		return graph.Complete(gs.N), nil
-	case "circulant":
-		if gs.N < 2 {
-			return nil, fmt.Errorf("serve: graph circulant: need n >= 2 (got %d)", gs.N)
-		}
-		return graph.CirculantComplete(gs.N), nil
-	case "grid":
-		if gs.Rows < 1 || gs.Cols < 1 || gs.Rows*gs.Cols < 2 {
-			return nil, fmt.Errorf("serve: graph grid: need rows,cols >= 1 and >= 2 nodes (got %dx%d)", gs.Rows, gs.Cols)
-		}
-		return graph.Grid(gs.Rows, gs.Cols), nil
-	case "torus":
-		if gs.Rows < 3 || gs.Cols < 3 {
-			return nil, fmt.Errorf("serve: graph torus: need rows,cols >= 3 (got %dx%d)", gs.Rows, gs.Cols)
-		}
-		return graph.Torus(gs.Rows, gs.Cols), nil
-	case "hypercube":
-		if gs.N < 1 || gs.N > 20 {
-			return nil, fmt.Errorf("serve: graph hypercube: need 1 <= n <= 20 (got %d)", gs.N)
-		}
-		return graph.Hypercube(gs.N), nil
-	case "":
-		return nil, fmt.Errorf("serve: graph family is required")
-	default:
-		return nil, fmt.Errorf("serve: unknown graph family %q", gs.Family)
-	}
-}
-
 // Request is the body of POST /search. A search is spelled one of
 // two ways: the inline fields below (the paper model only), or a
 // complete declarative scenario document in Scenario (any registered
-// model). The two spellings are mutually exclusive; the transport
-// options (workers, stream, timings) belong to the envelope and apply
-// to both.
+// model). The inline fields are sugar for a paper-model scenario
+// document, so both spellings share one validator and one caps table,
+// and equal searches get equal fingerprints. The two spellings are
+// mutually exclusive; the transport options (workers, stream, timings)
+// belong to the envelope and apply to both.
 type Request struct {
 	// Scenario, when present, is a standalone internal/scenario Search
 	// document (with its own "version", "model", tier and symmetry
@@ -207,23 +109,22 @@ type Request struct {
 	// client's exact document and workers re-validate it identically.
 	Scenario json.RawMessage `json:"scenario,omitempty"`
 
-	Graph GraphSpec `json:"graph"`
-	// Explorer is auto (default), dfs, unmarked-dfs, ring-sweep,
-	// eulerian or hamiltonian.
-	Explorer string `json:"explorer,omitempty"`
-	// Algorithm is cheap, cheap-sim, fast, fwr1, fwr2, fwr3 or oracle.
-	Algorithm string `json:"algorithm"`
-	// L is the label-space size. Required when LabelPairs is omitted;
-	// when LabelPairs is given, defaults to the largest label listed.
+	// Graph, Explorer, Algorithm, LabelPairs, StartPairs, Delays and
+	// Symmetry mean exactly what the scenario.Search fields of the
+	// same names mean.
+	Graph     scenario.GraphSpec `json:"graph"`
+	Explorer  string             `json:"explorer,omitempty"`
+	Algorithm string             `json:"algorithm"`
+	// L is the label-space size (the scenario document's "l").
+	// Required when LabelPairs is omitted; when LabelPairs is given,
+	// defaults to the largest label listed.
 	L int `json:"L,omitempty"`
-	// LabelPairs, StartPairs and Delays select the configuration
-	// space; empty fields default to exhaustive enumeration exactly as
-	// in sim.SearchSpace.
+	// Empty LabelPairs, StartPairs and Delays default to exhaustive
+	// enumeration exactly as in sim.SearchSpace.
 	LabelPairs [][2]int `json:"labelPairs,omitempty"`
 	StartPairs [][2]int `json:"startPairs,omitempty"`
 	Delays     []int    `json:"delays,omitempty"`
-	// Symmetry is auto (default), off or forced.
-	Symmetry string `json:"symmetry,omitempty"`
+	Symmetry   string   `json:"symmetry,omitempty"`
 	// Workers overrides the per-search worker count (0 = server
 	// default, negative = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
@@ -237,129 +138,54 @@ type Request struct {
 	Timings bool `json:"timings,omitempty"`
 }
 
-// compile validates the request and lowers it onto a model.Model —
-// adversary.PaperModel for the inline form, whatever the scenario
-// compiler yields for the scenario form. defaultWorkers is the
-// server-wide per-search worker count used when the request does not
-// override it; it lands in the returned execution options alongside
-// nothing else (tier, symmetry and budgets are the model's own
-// state).
+// search returns the scenario.Search the request spells: the inline
+// fields lowered onto a standalone document, or the parsed scenario
+// document, whose presence requires every inline field to be absent
+// so a request can never half-override what the document pins.
+func (r Request) search() (*scenario.Search, error) {
+	inline := scenario.Search{
+		Graph:      r.Graph,
+		Explorer:   r.Explorer,
+		Algorithm:  r.Algorithm,
+		L:          r.L,
+		LabelPairs: r.LabelPairs,
+		StartPairs: r.StartPairs,
+		Delays:     r.Delays,
+		Symmetry:   r.Symmetry,
+	}
+	if r.Scenario == nil {
+		inline.Version = scenario.Version
+		return &inline, nil
+	}
+	if !reflect.ValueOf(inline).IsZero() {
+		return nil, fmt.Errorf("serve: scenario and inline search fields are mutually exclusive")
+	}
+	return scenario.ParseSearch(r.Scenario)
+}
+
+// compile validates the request and lowers it onto a model.Model
+// through the scenario compiler. defaultWorkers is the server-wide
+// per-search worker count used when the request does not override it;
+// it lands in the returned execution options alongside nothing else
+// (tier, symmetry and budgets are the model's own state).
 func (r Request) compile(defaultWorkers int) (model.Model, adversary.Options, error) {
 	var opts adversary.Options
-	workers := r.Workers
-	if workers == 0 {
-		workers = defaultWorkers
+	opts.Workers = r.Workers
+	if opts.Workers == 0 {
+		opts.Workers = defaultWorkers
 	}
-	opts.Workers = workers
-	if r.Scenario != nil {
-		// The scenario form: the document is a complete search of its
-		// own; the inline fields must all be absent, so a request can
-		// never half-override what the document pins.
-		if r.Graph != (GraphSpec{}) || r.Explorer != "" || r.Algorithm != "" || r.L != 0 ||
-			r.LabelPairs != nil || r.StartPairs != nil || r.Delays != nil || r.Symmetry != "" {
-			return nil, opts, fmt.Errorf("serve: scenario and inline search fields are mutually exclusive")
-		}
-		sc, err := scenario.ParseSearch(r.Scenario)
-		if err != nil {
-			return nil, opts, err
-		}
-		// The format admits benchmark-scale label spaces; the daemon
-		// does not (scenario.MaxL > serve.MaxL).
-		if l := sc.EffectiveL(); l > MaxL {
-			return nil, opts, fmt.Errorf("serve: scenario l %d exceeds the served maximum %d", l, MaxL)
-		}
-		m, err := sc.Compile(scenario.Options{})
-		if err != nil {
-			return nil, opts, err
-		}
-		return m, opts, nil
-	}
-	// JSON [] decodes to a non-nil empty slice, but the engine defaults
-	// (exhaustive enumeration) fire only on nil; normalize so an
-	// explicitly empty list means "default", as documented, instead of
-	// a zero-execution sweep that would be cached forever.
-	if len(r.LabelPairs) == 0 {
-		r.LabelPairs = nil
-	}
-	if len(r.StartPairs) == 0 {
-		r.StartPairs = nil
-	}
-	if len(r.Delays) == 0 {
-		r.Delays = nil
-	}
-	g, err := r.Graph.Build()
+	sc, err := r.search()
 	if err != nil {
 		return nil, opts, err
 	}
-	ex, err := explore.ByName(r.Explorer, g, 16)
+	// The format admits benchmark-scale label spaces; the daemon
+	// does not (scenario.MaxL > serve.MaxL).
+	if l := sc.EffectiveL(); l > MaxL {
+		return nil, opts, fmt.Errorf("serve: L %d exceeds the served maximum %d", l, MaxL)
+	}
+	m, err := sc.Compile(scenario.Options{})
 	if err != nil {
-		return nil, opts, fmt.Errorf("serve: %w", err)
-	}
-	algo, err := core.AlgorithmByName(r.Algorithm)
-	if err != nil {
-		return nil, opts, fmt.Errorf("serve: %w", err)
-	}
-	L := r.L
-	if L == 0 && r.LabelPairs != nil {
-		// L omitted: the smallest label space containing every listed
-		// label.
-		for _, lp := range r.LabelPairs {
-			L = max(L, lp[0], lp[1])
-		}
-	}
-	if L < 2 {
-		return nil, opts, fmt.Errorf("serve: need L >= 2 (got %d)", L)
-	}
-	if L > MaxL {
-		return nil, opts, fmt.Errorf("serve: L %d exceeds the served maximum %d", L, MaxL)
-	}
-	if r.LabelPairs != nil {
-		for i, lp := range r.LabelPairs {
-			if lp[0] < 1 || lp[1] < 1 || lp[0] > L || lp[1] > L {
-				return nil, opts, fmt.Errorf("serve: labelPairs[%d] = %v: labels must be in 1..%d", i, lp, L)
-			}
-		}
-	}
-	// Start pairs and delays are validated here rather than left to the
-	// engine, so every malformed request is a 400 before a flight or a
-	// pool slot exists (sim.SearchSpace.Expand checks neither start
-	// ranges nor delay signs; the daemon does not serve the degenerate
-	// spaces the generic tier tolerates for library callers). List
-	// lengths and delay magnitudes are capped for the same reason the
-	// graph size is: one request must not be able to hurt the shared
-	// process.
-	if len(r.LabelPairs) > MaxListLen || len(r.StartPairs) > MaxListLen || len(r.Delays) > MaxListLen {
-		return nil, opts, fmt.Errorf("serve: enumeration lists are capped at %d entries", MaxListLen)
-	}
-	for i, sp := range r.StartPairs {
-		if sp[0] < 0 || sp[0] >= g.N() || sp[1] < 0 || sp[1] >= g.N() {
-			return nil, opts, fmt.Errorf("serve: startPairs[%d] = %v: nodes must be in 0..%d", i, sp, g.N()-1)
-		}
-		if sp[0] == sp[1] {
-			return nil, opts, fmt.Errorf("serve: startPairs[%d] = %v: the model requires distinct start nodes", i, sp)
-		}
-	}
-	for i, d := range r.Delays {
-		if d < 0 || d > MaxDelay {
-			return nil, opts, fmt.Errorf("serve: delays[%d] = %d: want 0..%d", i, d, MaxDelay)
-		}
-	}
-	sym := adversary.SymmetryAuto
-	if r.Symmetry != "" {
-		sym, err = adversary.ParseSymmetry(r.Symmetry)
-		if err != nil {
-			return nil, opts, fmt.Errorf("serve: %w", err)
-		}
-	}
-	params := core.Params{L: L}
-	m := adversary.PaperModel{
-		Spec: adversary.Spec{
-			Graph:       g,
-			Explorer:    ex,
-			ScheduleFor: func(l int) sim.Schedule { return algo.Schedule(l, params) },
-		},
-		Space:    sim.SearchSpace{L: L, LabelPairs: r.LabelPairs, StartPairs: r.StartPairs, Delays: r.Delays},
-		Symmetry: sym,
+		return nil, opts, err
 	}
 	return m, opts, nil
 }

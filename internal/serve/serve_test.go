@@ -18,6 +18,7 @@ import (
 	"rendezvous/internal/graph"
 	"rendezvous/internal/model"
 	"rendezvous/internal/resultstore"
+	"rendezvous/internal/scenario"
 	"rendezvous/internal/sim"
 )
 
@@ -196,7 +197,7 @@ func TestSearchErrorPaths(t *testing.T) {
 	t.Run("list-too-long", func(t *testing.T) {
 		var sb strings.Builder
 		sb.WriteString(`{"graph":{"family":"ring","n":6},"algorithm":"cheap","L":3,"delays":[`)
-		for i := 0; i <= MaxListLen; i++ {
+		for i := 0; i <= scenario.MaxListLen; i++ {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
@@ -206,6 +207,22 @@ func TestSearchErrorPaths(t *testing.T) {
 		status, out := postSearch(t, ts.URL, sb.String())
 		if status != http.StatusBadRequest || !strings.Contains(out.Error, "capped") {
 			t.Errorf("status %d error %q, want 400 mentioning the cap", status, out.Error)
+		}
+	})
+
+	t.Run("tree-draws-over-cap", func(t *testing.T) {
+		// Build generates every tree up to take, so the draws list is
+		// capped far below MaxListLen; both body forms must refuse it.
+		draws := strings.TrimSuffix(strings.Repeat("2,", scenario.MaxTreeDraws+1), ",")
+		spec := `{"family":"tree","seed":1,"draws":[` + draws + `],"take":0}`
+		for _, body := range []string{
+			`{"graph":` + spec + `,"algorithm":"cheap","L":3}`,
+			`{"scenario":{"version":1,"graph":` + spec + `,"algorithm":"cheap","l":3}}`,
+		} {
+			status, out := postSearch(t, ts.URL, body)
+			if status != http.StatusBadRequest || !strings.Contains(out.Error, "draws is capped") {
+				t.Errorf("status %d error %q, want 400 mentioning the draws cap", status, out.Error)
+			}
 		}
 	})
 
@@ -454,38 +471,6 @@ func TestNoStoreServer(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Errorf("storeless index: %+v, want empty", entries)
-	}
-}
-
-// TestGraphSpecFamilies sanity-checks every accepted family builds
-// the advertised graph.
-func TestGraphSpecFamilies(t *testing.T) {
-	cases := []struct {
-		spec  GraphSpec
-		wantN int
-	}{
-		{GraphSpec{Family: "ring", N: 8}, 8},
-		{GraphSpec{Family: "path", N: 5}, 5},
-		{GraphSpec{Family: "star", N: 6}, 6},
-		{GraphSpec{Family: "complete", N: 5}, 5},
-		{GraphSpec{Family: "circulant", N: 5}, 5},
-		{GraphSpec{Family: "grid", Rows: 3, Cols: 4}, 12},
-		{GraphSpec{Family: "torus", Rows: 3, Cols: 3}, 9},
-		{GraphSpec{Family: "hypercube", N: 3}, 8},
-	}
-	for _, tc := range cases {
-		t.Run(tc.spec.Family, func(t *testing.T) {
-			g, err := tc.spec.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g.N() != tc.wantN {
-				t.Errorf("N = %d, want %d", g.N(), tc.wantN)
-			}
-			if err := g.Validate(); err != nil {
-				t.Error(err)
-			}
-		})
 	}
 }
 

@@ -338,7 +338,7 @@ type (
 	SearchRequest = serve.Request
 	// SearchGraphSpec names a graph family and its parameters inside a
 	// SearchRequest.
-	SearchGraphSpec = serve.GraphSpec
+	SearchGraphSpec = scenario.GraphSpec
 )
 
 // DistributedConfig tunes SearchDistributed.
