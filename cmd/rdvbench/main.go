@@ -17,7 +17,6 @@
 //	rdvbench -cache DIR      # serve repeated sweeps from a result store at DIR
 //	rdvbench -resume DIR     # checkpoint sweeps into DIR; a cancelled run resumes
 //	rdvbench -scenario F     # run the searches of a scenario file (JSON) instead
-//	rdvbench -scenario F -verify  # verify the file against the experiment it names
 //
 // Tables are identical for every -workers, -tablemem, -symmetry and
 // valid -tier value; parallelism, the meeting-table tiers and the
@@ -26,17 +25,18 @@
 // 64-lane batched table executor everywhere, and -tier table disables
 // it in favour of the scalar table scan; forcing a tier some
 // experiment cannot run (-tier ring off the ring experiments) makes
-// that experiment fail with the engine's forcing error. -cache and
-// -resume are persistence options with the same bit-for-bit property:
-// a store hit returns the exact WorstCase a cold sweep would compute,
-// and a resumed sweep merges to the same output as an uninterrupted
-// one.
+// that experiment fail with the scenario compiler's forcing error.
+// -cache and -resume are persistence options with the same bit-for-bit
+// property: a store hit returns the exact WorstCase a cold sweep would
+// compute, and a resumed sweep merges to the same output as an
+// uninterrupted one.
 //
-// -scenario runs a declarative scenario file (internal/scenario format)
-// through the engine's model-generic path instead of the experiment
-// registry; with -verify the file must name the experiment it
-// re-expresses, and rdvbench runs both sides and asserts they agree
-// search for search — same fingerprints, bit-for-bit the same results.
+// Every engine-backed experiment runs the searches of its committed
+// scenario document (examples/scenarios/E*.json, embedded in the
+// binary). -scenario runs any scenario file (internal/scenario format)
+// on that same path — -cache and -resume included — instead of the
+// experiment registry, printing one result line per search.
+//
 // Flag values are validated up front: -workers below -1,
 // -tablemem below -1, unknown -symmetry modes or -tier names and an
 // unusable -cache/-resume directory are usage errors. The process
@@ -97,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cacheDir = fs.String("cache", "", "result-store directory for sweep caching (empty = no cache)")
 		resume   = fs.String("resume", "", "checkpoint directory for resumable sweeps (empty = no checkpoints)")
 		scenPath = fs.String("scenario", "", "scenario file (JSON) to run instead of the experiment registry")
-		verify   = fs.Bool("verify", false, "with -scenario: verify the file against the bench experiment it names")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -126,9 +125,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *markdown && *jsonOut {
 		return usageErr("-markdown and -json are mutually exclusive")
-	}
-	if *verify && *scenPath == "" {
-		return usageErr("-verify requires -scenario")
 	}
 	if *scenPath != "" && (*runList != "" || *markdown || *jsonOut || *list) {
 		return usageErr("-scenario is exclusive with -run, -list, -markdown and -json")
@@ -187,15 +183,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
-		}
-		if *verify {
-			if err := bench.VerifyScenario(f, opts); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			fmt.Fprintf(stdout, "%s: %d searches verified against %s: identical fingerprints and bit-for-bit identical results\n",
-				*scenPath, len(f.Searches), f.Experiment)
-			return 0
 		}
 		results, err := bench.RunScenario(f, opts)
 		if err != nil {

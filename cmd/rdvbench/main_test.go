@@ -173,6 +173,36 @@ func TestCacheAndResume(t *testing.T) {
 	if cold.String() != plain.String() || warm.String() != plain.String() {
 		t.Error("cached/resumed output differs from the plain run")
 	}
+
+	// -scenario runs on the experiments' path, so both flags apply to it
+	// too: the store fills with one record per search, no checkpoint is
+	// left behind, and the output matches a plain run.
+	scen := filepath.Join("..", "..", "examples", "scenarios", "E13.json")
+	scenCache := filepath.Join(t.TempDir(), "store")
+	var scenPlain, scenCold, scenWarm strings.Builder
+	for _, tc := range []struct {
+		args []string
+		out  *strings.Builder
+	}{
+		{[]string{"-scenario", scen}, &scenPlain},
+		{[]string{"-scenario", scen, "-cache", scenCache, "-resume", ckpt}, &scenCold},
+		{[]string{"-scenario", scen, "-cache", scenCache}, &scenWarm},
+	} {
+		stderr.Reset()
+		if code := run(tc.args, tc.out, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", tc.args, code, stderr.String())
+		}
+	}
+	records, err = filepath.Glob(filepath.Join(scenCache, "objects", "*", "*.json"))
+	if err != nil || len(records) != 4 {
+		t.Fatalf("-scenario -cache stored %d records, want one per search of E13.json (4) (err %v)", len(records), err)
+	}
+	if ckpts, _ := filepath.Glob(filepath.Join(ckpt, "*.ckpt")); len(ckpts) != 0 {
+		t.Fatalf("-scenario -resume left %d stale checkpoint(s) behind", len(ckpts))
+	}
+	if scenCold.String() != scenPlain.String() || scenWarm.String() != scenPlain.String() {
+		t.Errorf("-scenario output with -cache/-resume differs from the plain run:\n%s\nvs\n%s", scenCold.String(), scenPlain.String())
+	}
 }
 
 // TestBadPersistenceFlags: an unusable -cache or -resume location is a

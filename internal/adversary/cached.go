@@ -24,17 +24,20 @@ func Fingerprint(spec Spec, space sim.SearchSpace, opts Options) (string, error)
 	})
 }
 
-// validateForcedTier reports the dispatch errors that do not depend on
-// the search space: an unknown forced tier, and TierRing forced on a
-// spec that is not ring-eligible. SearchCached runs it before
+// ValidateTier reports the dispatch errors that do not depend on the
+// search space: an unknown forced tier, and TierRing forced on a spec
+// that is not ring-eligible. Every store front runs it before
 // consulting the store, because the fingerprint deliberately excludes
 // the tier (it is output-invariant for every *valid* configuration) —
 // without this check a cache hit could mask the error a cold search
-// would return. Every other cold-search error either fails Fingerprint
-// too (invalid space, explorer rejecting the graph) or recurs on
-// recompute (per-execution errors are never stored), so no other hit
-// can mask one.
-func validateForcedTier(spec Spec, opts Options) error {
+// would return. SearchCached runs it itself; the scenario compiler
+// runs it on every paper-model search, which covers every front end
+// that compiles through internal/scenario (rdvd's /search and /shard,
+// rdvbench, the bench experiments). Every other cold-search error
+// either fails Fingerprint too (invalid space, explorer rejecting the
+// graph) or recurs on recompute (per-execution errors are never
+// stored), so no other hit can mask one.
+func ValidateTier(spec Spec, opts Options) error {
 	tier := opts.Tier
 	switch tier {
 	case TierAuto, TierGeneric, TierTable, TierBatch:
@@ -48,13 +51,6 @@ func validateForcedTier(spec Spec, opts Options) error {
 		return fmt.Errorf("adversary: unknown tier %v", tier)
 	}
 }
-
-// ValidateTier is validateForcedTier for callers outside the package
-// that front the engine with their own store or checkpoint plumbing
-// (internal/bench): run it before consulting a result store, because
-// the fingerprint excludes the tier and a hit would otherwise mask the
-// error a cold search would return.
-func ValidateTier(spec Spec, opts Options) error { return validateForcedTier(spec, opts) }
 
 // SearchCached is Search fronted by a result store: a fingerprint hit
 // returns the stored WorstCase without touching the engine; a miss
@@ -74,7 +70,7 @@ func SearchCached(store *resultstore.Store, spec Spec, space sim.SearchSpace, op
 		wc, err = Search(spec, space, opts)
 		return wc, false, err
 	}
-	if err := validateForcedTier(spec, opts); err != nil {
+	if err := ValidateTier(spec, opts); err != nil {
 		return sim.WorstCase{}, false, err
 	}
 	if wc, ok := store.Get(fp); ok {

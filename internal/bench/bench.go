@@ -10,19 +10,19 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
 	"rendezvous/internal/adversary"
 	"rendezvous/internal/resultstore"
-	"rendezvous/internal/sim"
 )
 
-// Options configures how the experiment sweeps execute. The zero value
-// runs serially with no deadline — the historical behaviour. Results are
-// identical for every Workers value; only wall-clock time changes.
+// Options configures how an experiment runs the searches of its
+// committed scenario document (examples/scenarios). The zero value runs
+// serially with no deadline. Results are identical for every Workers,
+// TableBudget, Symmetry and valid Tier value, and with or without the
+// store and checkpoints; only wall-clock time (and, for Symmetry, the
+// execution count) changes.
 type Options struct {
 	// Workers shards every adversary search across this many goroutines
 	// (0 or 1 = serial, negative = GOMAXPROCS).
@@ -31,96 +31,28 @@ type Options struct {
 	Context context.Context
 	// TableBudget caps, in bytes, the memory each sweep may spend on the
 	// engine's precomputed meeting tables (0 = the engine default,
-	// negative disables the meeting-table tier). Results are identical
-	// for every value; only wall-clock time changes.
+	// negative disables the meeting-table tier).
 	TableBudget int64
 	// Symmetry selects the engine's start-pair orbit reduction
-	// (adversary.Symmetry; the zero value reduces automatically).
-	// Values, witnesses and every bound check are identical for every
-	// setting; only the execution count and wall-clock time change.
+	// (adversary.Symmetry; the zero value reduces automatically) for
+	// every search whose document does not pin its own.
 	Symmetry adversary.Symmetry
-	// Tier forces the engine's execution tier for every engine-backed
-	// sweep (adversary.Tier; the zero value, TierAuto, picks the
-	// fastest eligible one). Results are identical for every valid
-	// setting — only wall-clock time changes — but forcing a tier some
-	// experiment's spec cannot run (TierRing off the ring) makes that
-	// experiment fail with the engine's forcing error.
+	// Tier forces the engine's execution tier for every search whose
+	// document does not pin its own (adversary.Tier; the zero value,
+	// TierAuto, picks the fastest eligible one). Forcing a tier some
+	// search cannot run (TierRing off the ring) makes that experiment
+	// fail with the scenario compiler's forcing error.
 	Tier adversary.Tier
-	// Store, when non-nil, caches every engine-backed sweep in the
-	// content-addressed result store: a rerun of the same experiment
-	// serves its sweeps from disk instead of recomputing them. Results
-	// are identical with or without the store (a hit returns the very
+	// Store, when non-nil, caches every engine-backed search in the
+	// content-addressed result store: a rerun serves its searches from
+	// disk instead of recomputing them (a hit returns the very
 	// WorstCase a cold run would compute).
 	Store *resultstore.Store
 	// CheckpointDir, when non-empty, checkpoints every engine-backed
-	// sweep into this directory (one file per sweep fingerprint): a
+	// search into this directory (one file per fingerprint): a
 	// cancelled run resumes from completed shards with bit-for-bit
 	// identical merged output.
 	CheckpointDir string
-	// Recorder, when non-nil, observes every engine-backed sweep an
-	// experiment performs, in execution order, with the exact inputs
-	// and the exact result. It is how the scenario equivalence harness
-	// captures an experiment's searches to compare them against the
-	// declarative re-expression; it never changes what runs.
-	Recorder func(spec adversary.Spec, space sim.SearchSpace, wc sim.WorstCase)
-}
-
-// search lowers the experiment options onto the adversary engine.
-func (o Options) search() adversary.Options {
-	return adversary.Options{Workers: o.Workers, Context: o.Context, TableBudget: o.TableBudget, Symmetry: o.Symmetry, Tier: o.Tier}
-}
-
-// searchRun executes one engine-backed sweep under the experiment's
-// persistence options: a store hit short-circuits the engine, a
-// checkpoint directory makes the sweep resumable, and a plain run
-// falls through to adversary.Search. Results are identical on every
-// path.
-func (o Options) searchRun(spec adversary.Spec, space sim.SearchSpace) (wc sim.WorstCase, err error) {
-	if o.Recorder != nil {
-		defer func() {
-			if err == nil {
-				o.Recorder(spec, space, wc)
-			}
-		}()
-	}
-	opts := o.search()
-	if o.CheckpointDir == "" {
-		// SearchCached handles the nil-store case as a plain Search.
-		wc, _, err := adversary.SearchCached(o.Store, spec, space, opts)
-		return wc, err
-	}
-	fp, err := adversary.Fingerprint(spec, space, opts)
-	if err != nil {
-		// Unfingerprintable sweeps (the engine would reject them) run
-		// uncheckpointed so the caller sees the engine's own error.
-		return adversary.Search(spec, space, opts)
-	}
-	// The fingerprint excludes the tier (it is output-invariant), so
-	// this store-front must validate the forced tier itself — exactly
-	// as SearchCached does in the branch above — or a store hit could
-	// mask the forcing error a cold search would return.
-	if err := adversary.ValidateTier(spec, opts); err != nil {
-		return sim.WorstCase{}, err
-	}
-	if o.Store != nil {
-		if wc, ok := o.Store.Get(fp); ok {
-			return wc, nil
-		}
-	}
-	ckpt := filepath.Join(o.CheckpointDir, fp+".ckpt")
-	wc, err = adversary.SearchCheckpointed(spec, space, opts,
-		adversary.CheckpointConfig{Path: ckpt, Fingerprint: fp})
-	if err != nil {
-		return sim.WorstCase{}, err
-	}
-	if o.Store != nil {
-		_ = o.Store.Put(fp, wc) // best-effort: a miss next time recomputes
-	}
-	// The checkpoint is crash recovery, not a cache (that is the
-	// store's job): once the sweep completed, drop it so the resume
-	// directory does not accumulate one stale file per configuration.
-	os.Remove(ckpt)
-	return wc, nil
 }
 
 // err reports the context's cancellation, for experiments whose sweeps

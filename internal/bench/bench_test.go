@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"rendezvous/internal/scenario"
 )
 
 // TestAllExperimentsPass is the repository's headline integration test:
@@ -106,9 +108,12 @@ func TestTableMarkdown(t *testing.T) {
 	}
 }
 
+// The generator tests below pin the scenario format's canonical
+// configuration spaces, which the committed documents expand through.
+
 func TestSampledLabelPairsProperties(t *testing.T) {
 	for _, L := range []int{4, 16, 100} {
-		pairs := sampledLabelPairs(L, 30, 1)
+		pairs := scenario.SampledLabelPairs(L, 30, 1)
 		seen := make(map[[2]int]bool)
 		for _, p := range pairs {
 			if p[0] == p[1] || p[0] < 1 || p[1] < 1 || p[0] > L || p[1] > L {
@@ -124,31 +129,31 @@ func TestSampledLabelPairsProperties(t *testing.T) {
 		}
 	}
 	// Deterministic for a fixed seed.
-	a := sampledLabelPairs(64, 40, 9)
-	b := sampledLabelPairs(64, 40, 9)
+	a := scenario.SampledLabelPairs(64, 40, 9)
+	b := scenario.SampledLabelPairs(64, 40, 9)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("sampledLabelPairs not deterministic")
+			t.Fatal("SampledLabelPairs not deterministic")
 		}
 	}
 }
 
 func TestRingOffsets(t *testing.T) {
-	offs := ringOffsets(5)
+	offs := scenario.RingOffsets(5)
 	if len(offs) != 4 {
-		t.Fatalf("ringOffsets(5) = %v", offs)
+		t.Fatalf("RingOffsets(5) = %v", offs)
 	}
 	for i, p := range offs {
 		if p[0] != 0 || p[1] != i+1 {
-			t.Fatalf("ringOffsets(5) = %v", offs)
+			t.Fatalf("RingOffsets(5) = %v", offs)
 		}
 	}
 }
 
 func TestAllLabelPairs(t *testing.T) {
-	pairs := allLabelPairs(3)
+	pairs := scenario.AllLabelPairs(3)
 	if len(pairs) != 6 {
-		t.Fatalf("allLabelPairs(3) = %v", pairs)
+		t.Fatalf("AllLabelPairs(3) = %v", pairs)
 	}
 }
 
@@ -166,14 +171,14 @@ func TestFitExponent(t *testing.T) {
 }
 
 func TestDelaysFor(t *testing.T) {
-	d := delaysFor(10)
+	d := scenario.DelaysFor(10)
 	want := []int{0, 1, 5, 10, 11, 20}
 	if len(d) != len(want) {
-		t.Fatalf("delaysFor(10) = %v", d)
+		t.Fatalf("DelaysFor(10) = %v", d)
 	}
 	for i := range want {
 		if d[i] != want[i] {
-			t.Fatalf("delaysFor(10) = %v, want %v", d, want)
+			t.Fatalf("DelaysFor(10) = %v, want %v", d, want)
 		}
 	}
 }

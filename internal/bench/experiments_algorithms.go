@@ -3,11 +3,9 @@ package bench
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"rendezvous/internal/core"
-	"rendezvous/internal/explore"
-	"rendezvous/internal/graph"
+	"rendezvous/internal/scenario"
 )
 
 // E1CheapSimultaneous reproduces the simultaneous-start variant of
@@ -24,25 +22,24 @@ func E1CheapSimultaneous(opts Options) (*Table, error) {
 			"'cost exactly E' is worst-case: with the optimal ring sweep the adversary forces the full exploration; executions that meet earlier cost less",
 		},
 	}
+	runs, err := opts.runDocument("E1", 9)
+	if err != nil {
+		return nil, err
+	}
+	if err := allMet(runs); err != nil {
+		return nil, err
+	}
 	costOK, timeOK := true, true
-	for _, cfg := range []struct{ n, L int }{
-		{12, 4}, {12, 8}, {12, 16},
-		{24, 4}, {24, 8}, {24, 16},
-		{48, 8}, {48, 16}, {48, 32},
-	} {
-		e := cfg.n - 1
-		wc, err := ringWorst(opts, cfg.n, cfg.L, core.CheapSimultaneous{}, allLabelPairs(cfg.L), []int{0})
-		if err != nil {
-			return nil, err
-		}
-		if wc.Cost.Value != e {
+	for _, r := range runs {
+		e, L := r.e, r.doc.L
+		if r.wc.Cost.Value != e {
 			costOK = false
 		}
-		if wc.Time.Value > (cfg.L-1)*e {
+		if r.wc.Time.Value > (L-1)*e {
 			timeOK = false
 		}
-		t.AddRow(cfg.n, e, cfg.L, wc.Cost.Value, e, wc.Time.Value, (cfg.L-1)*e,
-			float64(wc.Time.Value)/float64(e*cfg.L))
+		t.AddRow(r.doc.Graph.N, e, L, r.wc.Cost.Value, e, r.wc.Time.Value, (L-1)*e,
+			float64(r.wc.Time.Value)/float64(e*L))
 	}
 	t.AddCheck("cost exactly E (worst case)", costOK, "every configuration's worst cost equals E")
 	t.AddCheck("time <= (L-1)E", timeOK, "every configuration's worst time within the per-label bound")
@@ -60,39 +57,27 @@ func E2CheapArbitraryDelay(opts Options) (*Table, error) {
 		Claim:   "Algorithm Cheap completes rendezvous with cost at most 3E and in time at most (2L+1)E",
 		Columns: []string{"graph", "explorer", "E", "L", "delays", "worst cost", "3E", "worst time", "(2L+1)E"},
 	}
-	rng := rand.New(rand.NewSource(7))
-	const L = 6
+	// Row labels the document cannot spell, one per search.
+	names := []string{"ring-18", "ring-18/dfs", "tree-10", "tree-16", "torus-3x4", "torus-4x4",
+		"star-9", "grid-3x3", "grid-4x4", "grid-3x3-unmarked"}
+	runs, err := opts.runDocument("E2", len(names))
+	if err != nil {
+		return nil, err
+	}
+	if err := allMet(runs); err != nil {
+		return nil, err
+	}
 	costOK, timeOK := true, true
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-		ex   explore.Explorer
-	}{
-		{"ring-18", graph.OrientedRing(18), explore.OrientedRingSweep{}},
-		{"ring-18/dfs", graph.OrientedRing(18), explore.DFS{}},
-		{"tree-10", graph.RandomTree(10, rng), explore.DFS{}},
-		{"tree-16", graph.RandomTree(16, rng), explore.DFS{}},
-		{"torus-3x4", graph.Torus(3, 4), explore.DFS{}},
-		{"torus-4x4", graph.Torus(4, 4), explore.Eulerian{}},
-		{"star-9", graph.Star(9), explore.DFS{}},
-		{"grid-3x3", graph.Grid(3, 3), explore.DFS{}},
-		{"grid-4x4", graph.Grid(4, 4), explore.DFS{}},
-		{"grid-3x3-unmarked", graph.Grid(3, 3), explore.UnmarkedDFS{}},
-	} {
-		e := tc.ex.Duration(tc.g)
-		delays := delaysFor(e)
-		wc, err := graphWorst(opts, tc.g, tc.ex, L, core.Cheap{}, allLabelPairs(L), delays)
-		if err != nil {
-			return nil, err
-		}
-		if wc.Cost.Value > core.CheapCostBound(e) {
+	for i, r := range runs {
+		e, L := r.e, r.doc.L
+		if r.wc.Cost.Value > core.CheapCostBound(e) {
 			costOK = false
 		}
-		if wc.Time.Value > core.CheapWorstTimeBound(e, L) {
+		if r.wc.Time.Value > core.CheapWorstTimeBound(e, L) {
 			timeOK = false
 		}
-		t.AddRow(tc.name, tc.ex.Name(), e, L, fmt.Sprint(delays),
-			wc.Cost.Value, core.CheapCostBound(e), wc.Time.Value, core.CheapWorstTimeBound(e, L))
+		t.AddRow(names[i], r.doc.Explorer, e, L, fmt.Sprint(scenario.DelaysFor(e)),
+			r.wc.Cost.Value, core.CheapCostBound(e), r.wc.Time.Value, core.CheapWorstTimeBound(e, L))
 	}
 	t.AddCheck("Prop 2.1: cost <= 3E", costOK, "across all graphs, delays, label and start pairs")
 	t.AddCheck("Prop 2.1: time <= (2L+1)E", timeOK, "across all graphs, delays, label and start pairs")
@@ -103,8 +88,6 @@ func E2CheapArbitraryDelay(opts Options) (*Table, error) {
 // most (4·log(L-1)+9)E and cost at most twice that, with the
 // logarithmic growth in L visible in the measured worst cases.
 func E3Fast(opts Options) (*Table, error) {
-	const n = 24
-	e := n - 1
 	t := &Table{
 		ID:      "E3",
 		Title:   "Algorithm Fast (Proposition 2.2), oriented ring n=24",
@@ -114,19 +97,21 @@ func E3Fast(opts Options) (*Table, error) {
 			"L <= 32 is exhaustive over label pairs; larger L uses seeded sampling plus the structurally adversarial pairs (shared transformed-label prefixes)",
 		},
 	}
+	runs, err := opts.runDocument("E3", 10)
+	if err != nil {
+		return nil, err
+	}
+	if err := allMet(runs); err != nil {
+		return nil, err
+	}
 	timeOK, costOK := true, true
 	var prevTimePerE float64
 	monotone := true
-	for _, L := range []int{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024} {
-		var pairs [][2]int
-		if L <= 32 {
-			pairs = allLabelPairs(L)
-		} else {
-			pairs = sampledLabelPairs(L, 120, int64(L))
-		}
-		wc, err := ringWorst(opts, n, L, core.Fast{}, pairs, []int{0, 1, e})
-		if err != nil {
-			return nil, err
+	for _, r := range runs {
+		e, L, wc := r.e, r.doc.L, r.wc
+		pairs := L * (L - 1)
+		if s := r.doc.LabelSample; s != nil {
+			pairs = min(s.Count, pairs)
 		}
 		timeBound := core.FastTimeBound(e, L)
 		costBound := core.FastCostBound(e, L)
@@ -141,7 +126,7 @@ func E3Fast(opts Options) (*Table, error) {
 			monotone = false
 		}
 		prevTimePerE = timePerE
-		t.AddRow(L, len(pairs), wc.Time.Value, timeBound, timePerE, wc.Cost.Value, costBound,
+		t.AddRow(L, pairs, wc.Time.Value, timeBound, timePerE, wc.Cost.Value, costBound,
 			float64(wc.Cost.Value)/float64(e))
 	}
 	t.AddCheck("Prop 2.2: time <= (4log(L-1)+9)E", timeOK, "across the L sweep")
@@ -153,8 +138,6 @@ func E3Fast(opts Options) (*Table, error) {
 // E4FastWithRelabeling reproduces Proposition 2.3: cost O(w·E) and time
 // at most (4t+5)E where C(t, w) >= L, sweeping both w and L.
 func E4FastWithRelabeling(opts Options) (*Table, error) {
-	const n = 24
-	e := n - 1
 	t := &Table{
 		ID:      "E4",
 		Title:   "Algorithm FastWithRelabeling(w) (Proposition 2.3), oriented ring n=24",
@@ -164,37 +147,32 @@ func E4FastWithRelabeling(opts Options) (*Table, error) {
 			"the paper's stated cost constant 2wE charges each 1 of the new label once, but Algorithm 2's schedule doubles every bit and prepends an exploration; the literal schedule obeys (4w+2)E (see core.RelabelingCostClaimed)",
 		},
 	}
+	runs, err := opts.runDocument("E4", 21)
+	if err != nil {
+		return nil, err
+	}
+	if err := allMet(runs); err != nil {
+		return nil, err
+	}
 	timeOK, costSafeOK := true, true
 	claimedHolds := true
-	for _, w := range []int{1, 2, 3, 4} {
-		algo := core.NewFastWithRelabeling(w)
-		for _, L := range []int{4, 16, 64, 256, 1024, 4096} {
-			if w == 1 && L > 64 {
-				continue // t = L: schedules grow linearly, exhaustion too slow
-			}
-			var pairs [][2]int
-			if L <= 16 {
-				pairs = allLabelPairs(L)
-			} else {
-				pairs = sampledLabelPairs(L, 80, int64(31*L+w))
-			}
-			wc, err := ringWorst(opts, n, L, algo, pairs, []int{0, 1, e})
-			if err != nil {
-				return nil, err
-			}
-			tLen := algo.T(L)
-			if wc.Time.Value > core.RelabelingTimeBound(e, L, w) {
-				timeOK = false
-			}
-			if wc.Cost.Value > core.RelabelingCostSafe(e, w) {
-				costSafeOK = false
-			}
-			if wc.Cost.Value > core.RelabelingCostClaimed(e, w) {
-				claimedHolds = false
-			}
-			t.AddRow(w, L, tLen, wc.Time.Value, core.RelabelingTimeBound(e, L, w),
-				wc.Cost.Value, core.RelabelingCostClaimed(e, w), core.RelabelingCostSafe(e, w))
+	for _, r := range runs {
+		e, L, wc := r.e, r.doc.L, r.wc
+		algo, w, err := relabeling(r.doc)
+		if err != nil {
+			return nil, err
 		}
+		if wc.Time.Value > core.RelabelingTimeBound(e, L, w) {
+			timeOK = false
+		}
+		if wc.Cost.Value > core.RelabelingCostSafe(e, w) {
+			costSafeOK = false
+		}
+		if wc.Cost.Value > core.RelabelingCostClaimed(e, w) {
+			claimedHolds = false
+		}
+		t.AddRow(w, L, algo.T(L), wc.Time.Value, core.RelabelingTimeBound(e, L, w),
+			wc.Cost.Value, core.RelabelingCostClaimed(e, w), core.RelabelingCostSafe(e, w))
 	}
 	t.AddCheck("Prop 2.3: time <= (4t+5)E", timeOK, "across the (w, L) sweep")
 	t.AddCheck("cost <= (4w+2)E (literal-schedule bound)", costSafeOK, "across the (w, L) sweep")
@@ -210,8 +188,6 @@ func E4FastWithRelabeling(opts Options) (*Table, error) {
 // w(L) = c, FastWithRelabeling has cost O(E) and time O(L^{1/c}·E); the
 // measured scaling exponent of worst time against L approaches 1/c.
 func E5RelabelScaling(opts Options) (*Table, error) {
-	const n = 12
-	e := n - 1
 	t := &Table{
 		ID:      "E5",
 		Title:   "Corollary 2.1: time scaling exponent of FastWithRelabeling(c)",
@@ -221,25 +197,34 @@ func E5RelabelScaling(opts Options) (*Table, error) {
 			"exponent fitted by least squares on log(worst time/E) vs log L; discreteness of t = SmallestT(L,c) flattens small-L points",
 		},
 	}
+	runs, err := opts.runDocument("E5", 18)
+	if err != nil {
+		return nil, err
+	}
+	if err := allMet(runs); err != nil {
+		return nil, err
+	}
 	exponentsOK := true
 	costFlatOK := true
-	for _, c := range []int{1, 2, 3} {
-		algo := core.NewFastWithRelabeling(c)
-		Ls := []int{8, 16, 32, 64, 128, 256}
-		if c == 1 {
-			Ls = []int{4, 8, 16, 32, 48, 64}
+	// One table row per weight c: the document lists each c's L sweep
+	// as a consecutive run of searches.
+	for lo := 0; lo < len(runs); {
+		hi := lo
+		for hi < len(runs) && runs[hi].doc.Algorithm == runs[lo].doc.Algorithm {
+			hi++
+		}
+		group := runs[lo:hi]
+		lo = hi
+		_, c, err := relabeling(group[0].doc)
+		if err != nil {
+			return nil, err
 		}
 		var xs, ys []float64
 		maxCostPerE := 0.0
-		for _, L := range Ls {
-			pairs := sampledLabelPairs(L, 60, int64(17*L+c))
-			wc, err := ringWorst(opts, n, L, algo, pairs, []int{0})
-			if err != nil {
-				return nil, err
-			}
-			xs = append(xs, float64(L))
-			ys = append(ys, float64(wc.Time.Value)/float64(e))
-			if costPerE := float64(wc.Cost.Value) / float64(e); costPerE > maxCostPerE {
+		for _, r := range group {
+			xs = append(xs, float64(r.doc.L))
+			ys = append(ys, float64(r.wc.Time.Value)/float64(r.e))
+			if costPerE := float64(r.wc.Cost.Value) / float64(r.e); costPerE > maxCostPerE {
 				maxCostPerE = costPerE
 			}
 		}
@@ -251,9 +236,28 @@ func E5RelabelScaling(opts Options) (*Table, error) {
 		if maxCostPerE > float64(4*c+2) {
 			costFlatOK = false
 		}
-		t.AddRow(c, fmt.Sprintf("%d..%d", Ls[0], Ls[len(Ls)-1]), got, want, maxCostPerE, 4*c+2)
+		t.AddRow(c, fmt.Sprintf("%d..%d", group[0].doc.L, group[len(group)-1].doc.L), got, want, maxCostPerE, 4*c+2)
 	}
 	t.AddCheck("time ~ L^{1/c}", exponentsOK, "fitted exponents within 0.35 of 1/c")
 	t.AddCheck("cost O(E), independent of L", costFlatOK, "worst cost/E stays below 4c+2 across the L sweep")
 	return t, nil
+}
+
+// fitExponent fits the least-squares slope of log(y) against log(x) —
+// used to estimate empirical scaling exponents such as Corollary 2.1's
+// L^{1/c}.
+func fitExponent(xs, ys []float64) float64 {
+	if len(xs) != len(ys) || len(xs) < 2 {
+		return math.NaN()
+	}
+	n := float64(len(xs))
+	var sx, sy, sxx, sxy float64
+	for i := range xs {
+		lx, ly := math.Log(xs[i]), math.Log(ys[i])
+		sx += lx
+		sy += ly
+		sxx += lx * lx
+		sxy += lx * ly
+	}
+	return (n*sxy - sx*sy) / (n*sxx - sx*sx)
 }

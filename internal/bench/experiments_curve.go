@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
-	"rendezvous/internal/adversary"
 	"rendezvous/internal/core"
-	"rendezvous/internal/explore"
-	"rendezvous/internal/graph"
-	"rendezvous/internal/sim"
 )
 
 // E14TradeoffCurveFine addresses the paper's stated open problem
@@ -20,19 +16,30 @@ import (
 // at L = 4096 — feasible only with the segment-level ring executor,
 // which runs in O(|schedule|) per execution instead of O(|schedule|·E).
 //
-// The sweeps go through the engine (searchRun), whose automatic tier
-// dispatch routes every execution on the canonical oriented ring with
-// the sweep explorer to exactly that segment-level executor — so the
-// experiment inherits the store, checkpointing and recording like every
-// other engine-backed sweep.
+// The searches are those of examples/scenarios/E14.json; the engine's
+// automatic tier dispatch routes every execution on the canonical
+// oriented ring with the sweep explorer to exactly that segment-level
+// executor.
 //
 // The paper asks whether FastWithRelabeling is on or near the optimal
 // curve; the measured frontier is convex-ish and strictly tradeoff-
 // shaped (time falls as cost rises), consistent with it being near-
 // optimal between the two proven-tight endpoints.
 func E14TradeoffCurveFine(opts Options) (*Table, error) {
-	const n, L = 24, 4096
-	e := n - 1
+	runs, err := opts.runDocument("E14", 15)
+	if err != nil {
+		return nil, err
+	}
+	if err := allMet(runs); err != nil {
+		return nil, err
+	}
+	// The document sweeps fwr(w) for w = 1..⌈log L⌉+2, then Fast itself
+	// (the far end of the curve).
+	n, L, e := runs[0].doc.Graph.N, runs[0].doc.L, runs[0].e
+	logL := bits.Len(uint(L - 1)) // ⌈log2 L⌉ = 12
+	if len(runs) != logL+3 {
+		return nil, fmt.Errorf("bench: E14.json: %d searches, want fwr(1..%d) then fast", len(runs), logL+2)
+	}
 	t := &Table{
 		ID:      "E14",
 		Title:   fmt.Sprintf("Fine-grained tradeoff curve (open problem), oriented ring n=%d, L=%d", n, L),
@@ -43,56 +50,22 @@ func E14TradeoffCurveFine(opts Options) (*Table, error) {
 			"w sweeps the whole curve: w=1 is the Cheap-like end (time Θ(EL)), w=⌈log L⌉ is the Fast-like end (time Θ(E log L))",
 		},
 	}
-	logL := bits.Len(uint(L - 1)) // ⌈log2 L⌉ = 12
-	g := graph.OrientedRing(n)
-	pairs := sampledLabelPairs(L, 160, 2024)
-	delays := []int{0, 1, e}
-	params := core.Params{L: L}
-	search := func(algo core.Algorithm) (sim.WorstCase, error) {
-		return opts.searchRun(adversary.Spec{
-			Graph:       g,
-			Explorer:    explore.OrientedRingSweep{},
-			ScheduleFor: func(l int) sim.Schedule { return algo.Schedule(l, params) },
-		}, sim.SearchSpace{
-			LabelPairs: pairs,
-			StartPairs: ringOffsets(n),
-			Delays:     delays,
-		})
-	}
 
 	type point struct {
 		w, cost, time int
 	}
 	var curve []point
-	for w := 1; w <= logL+2; w++ {
-		algo := core.NewFastWithRelabeling(w)
-		if w == 1 {
-			// t(L,1) = L: the schedule has 2L+1 segments. Fine for
-			// the ring tier, but limit the pair count to keep the table
-			// quick.
-			algo = core.NewFastWithRelabeling(1)
-		}
-		wc, err := search(algo)
+	for _, r := range runs[:len(runs)-1] {
+		algo, w, err := relabeling(r.doc)
 		if err != nil {
 			return nil, err
 		}
-		if !wc.AllMet {
-			return nil, fmt.Errorf("bench: E14: w=%d: executions failed to meet", w)
-		}
-		tLen := algo.T(L)
+		wc := r.wc
 		curve = append(curve, point{w, wc.Cost.Value, wc.Time.Value})
-		t.AddRow(w, tLen, wc.Cost.Value, float64(wc.Cost.Value)/float64(e), wc.Time.Value, float64(wc.Time.Value)/float64(e),
+		t.AddRow(w, algo.T(L), wc.Cost.Value, float64(wc.Cost.Value)/float64(e), wc.Time.Value, float64(wc.Time.Value)/float64(e),
 			core.RelabelingTimeBound(e, L, w))
 	}
-
-	// Fast itself for reference (the far end of the curve).
-	fastWC, err := search(core.Fast{})
-	if err != nil {
-		return nil, err
-	}
-	if !fastWC.AllMet {
-		return nil, fmt.Errorf("bench: E14: fast: executions failed to meet")
-	}
+	fastWC := runs[len(runs)-1].wc
 	t.AddRow("fast", "-", fastWC.Cost.Value, float64(fastWC.Cost.Value)/float64(e), fastWC.Time.Value, float64(fastWC.Time.Value)/float64(e), core.FastTimeBound(e, L))
 
 	// Shape checks: the frontier is a genuine tradeoff — time decreases

@@ -1,11 +1,7 @@
 package bench
 
 import (
-	"math/rand"
-
 	"rendezvous/internal/core"
-	"rendezvous/internal/explore"
-	"rendezvous/internal/graph"
 )
 
 // E15ExplorerSensitivity measures how the choice of EXPLORE — and hence
@@ -29,49 +25,36 @@ func E15ExplorerSensitivity(opts Options) (*Table, error) {
 			"sweep sizes (n up to 20, unmarked-map E up to 1520) rely on the engine's meeting-table tier; the generic executor pays O(|schedule|·E) per execution and previously capped this table at n ≈ 12",
 		},
 	}
-	const L = 8
-	rng := rand.New(rand.NewSource(77))
-	type cfg struct {
-		name string
-		g    *graph.Graph
-		exs  []explore.Explorer
+	// Row labels, one per search; the document groups each graph's
+	// explorers together.
+	names := []string{
+		"oriented-ring-16", "oriented-ring-16", "oriented-ring-16", "oriented-ring-16",
+		"tree-14", "tree-14", "tree-14",
+		"torus-4x4", "torus-4x4", "torus-4x4", "torus-4x4",
+		"grid-4x5", "grid-4x5",
 	}
-	cfgs := []cfg{
-		{"oriented-ring-16", graph.OrientedRing(16), []explore.Explorer{
-			explore.OrientedRingSweep{}, explore.DFS{}, explore.RotorRouter{}, explore.UnmarkedDFS{},
-		}},
-		{"tree-14", graph.RandomTree(14, rng), []explore.Explorer{
-			explore.DFS{}, explore.RotorRouter{}, explore.UnmarkedDFS{},
-		}},
-		{"torus-4x4", graph.Torus(4, 4), []explore.Explorer{
-			explore.Eulerian{}, explore.DFS{}, explore.RotorRouter{}, explore.UnmarkedDFS{},
-		}},
-		{"grid-4x5", graph.Grid(4, 5), []explore.Explorer{
-			explore.DFS{}, explore.UnmarkedDFS{},
-		}},
+	runs, err := opts.runDocument("E15", len(names))
+	if err != nil {
+		return nil, err
+	}
+	if err := allMet(runs); err != nil {
+		return nil, err
 	}
 	allBounded := true
 	ratiosTight := true
-	for _, c := range cfgs {
-		for _, ex := range c.exs {
-			e := ex.Duration(c.g)
-			delays := []int{0, 1, e}
-			wc, err := graphWorst(opts, c.g, ex, L, core.Fast{}, allLabelPairs(L), delays)
-			if err != nil {
-				return nil, err
-			}
-			bound := core.FastTimeBound(e, L)
-			if wc.Time.Value > bound {
-				allBounded = false
-			}
-			timePerE := float64(wc.Time.Value) / float64(e)
-			boundPerE := float64(bound) / float64(e)
-			if timePerE > boundPerE {
-				ratiosTight = false
-			}
-			t.AddRow(c.name, ex.Name(), e, wc.Time.Value, timePerE, wc.Cost.Value,
-				float64(wc.Cost.Value)/float64(e), boundPerE)
+	for i, r := range runs {
+		e, wc := r.e, r.wc
+		bound := core.FastTimeBound(e, r.doc.L)
+		if wc.Time.Value > bound {
+			allBounded = false
 		}
+		timePerE := float64(wc.Time.Value) / float64(e)
+		boundPerE := float64(bound) / float64(e)
+		if timePerE > boundPerE {
+			ratiosTight = false
+		}
+		t.AddRow(names[i], r.doc.Explorer, e, wc.Time.Value, timePerE, wc.Cost.Value,
+			float64(wc.Cost.Value)/float64(e), boundPerE)
 	}
 	t.AddCheck("Prop 2.2 holds for every explorer", allBounded, "time <= (4log(L-1)+9)E with each explorer's own E")
 	t.AddCheck("time/E ratio explorer-independent", ratiosTight, "the normalized worst case never exceeds the normalized bound")

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"rendezvous/internal/adversary"
 	"rendezvous/internal/core"
 	"rendezvous/internal/explore"
 	"rendezvous/internal/graph"
@@ -156,8 +155,20 @@ func E9UnknownE(opts Options) (*Table, error) {
 // anchors the cheap-but-slow end, Fast the fast-but-costly end, and the
 // FastWithRelabeling family interpolates.
 func E10TradeoffCurve(opts Options) (*Table, error) {
-	const n, L = 24, 64
-	e := n - 1
+	// Row labels, one per search: the oracle reference point first,
+	// then the algorithm family over one shared label sample.
+	names := []string{
+		"oracle-wait-for-mate", "cheap-simultaneous", "cheap",
+		"fwr(w=1)", "fwr(w=2)", "fwr(w=3)", "fwr(w=4)", "fast",
+	}
+	runs, err := opts.runDocument("E10", len(names))
+	if err != nil {
+		return nil, err
+	}
+	if err := allMet(runs); err != nil {
+		return nil, err
+	}
+	n, L, e := runs[0].doc.Graph.N, runs[0].doc.L, runs[0].e
 	t := &Table{
 		ID:      "E10",
 		Title:   fmt.Sprintf("Time-versus-cost tradeoff frontier (oriented ring n=%d, L=%d)", n, L),
@@ -172,45 +183,9 @@ func E10TradeoffCurve(opts Options) (*Table, error) {
 		name       string
 		cost, time int
 	}
-	var points []point
-
-	oracleWC, err := opts.searchRun(adversary.Spec{
-		Graph:       graph.OrientedRing(n),
-		Explorer:    explore.OrientedRingSweep{},
-		ScheduleFor: func(l int) sim.Schedule { return core.WaitForMate{}.Schedule(l, core.Params{L: L}) },
-	}, sim.SearchSpace{
-		LabelPairs: [][2]int{{1, 2}, {2, 1}},
-		StartPairs: ringOffsets(n),
-	})
-	if err != nil {
-		return nil, err
-	}
-	points = append(points, point{"oracle-wait-for-mate", oracleWC.Cost.Value, oracleWC.Time.Value})
-
-	pairs := sampledLabelPairs(L, 100, 42)
-	algos := []core.Algorithm{
-		core.CheapSimultaneous{},
-		core.Cheap{},
-		core.NewFastWithRelabeling(1),
-		core.NewFastWithRelabeling(2),
-		core.NewFastWithRelabeling(3),
-		core.NewFastWithRelabeling(4),
-		core.Fast{},
-	}
-	names := []string{
-		"cheap-simultaneous", "cheap",
-		"fwr(w=1)", "fwr(w=2)", "fwr(w=3)", "fwr(w=4)", "fast",
-	}
-	for i, algo := range algos {
-		delays := []int{0}
-		if algo.Name() != "cheap-simultaneous" {
-			delays = []int{0, 1, e}
-		}
-		wc, err := ringWorst(opts, n, L, algo, pairs, delays)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, point{names[i], wc.Cost.Value, wc.Time.Value})
+	points := make([]point, len(runs))
+	for i, r := range runs {
+		points[i] = point{names[i], r.wc.Cost.Value, r.wc.Time.Value}
 	}
 	sort.Slice(points, func(i, j int) bool {
 		if points[i].cost != points[j].cost {
@@ -241,43 +216,31 @@ func E10TradeoffCurve(opts Options) (*Table, error) {
 // Ω(EL) time that Theorem 3.1 imposes on every cost-(E+o(E)) algorithm:
 // cost Θ(E) is strictly weaker than cost E+o(E).
 func E11Separation(opts Options) (*Table, error) {
-	const n = 12
-	e := n - 1
 	t := &Table{
 		ID:      "E11",
 		Title:   "Separation: cost Θ(E) rendezvous in time o(EL) (Section 1.3)",
 		Claim:   "FastWithRelabeling(2) works at cost O(E) and in time O(L^{1/2}E), so the Ω(EL) time bound for cost E+o(E) does not extend to cost Θ(E)",
 		Columns: []string{"L", "cheap-sim time/E", "fwr(2) time/E", "time ratio", "fwr(2) cost/E", "fast cost/E"},
 	}
+	// Per L, the document lists cheap-sim, fwr(2) and fast.
+	runs, err := opts.runDocument("E11", 12)
+	if err != nil {
+		return nil, err
+	}
+	if err := allMet(runs); err != nil {
+		return nil, err
+	}
 	sepOK, costOK := true, true
 	var ratios []float64
-	for _, L := range []int{16, 64, 256, 1024} {
-		pairs := sampledLabelPairs(L, 60, int64(3*L))
-		cheapPairs := pairs
-		if L > 64 {
-			// CheapSimultaneous schedules are Θ(L) segments long; cap the
-			// pair count to keep the sweep tractable.
-			cheapPairs = sampledLabelPairs(L, 24, int64(3*L))
-		}
-		cheapWC, err := ringWorst(opts, n, L, core.CheapSimultaneous{}, cheapPairs, []int{0})
-		if err != nil {
-			return nil, err
-		}
-		fwr := core.NewFastWithRelabeling(2)
-		fwrWC, err := ringWorst(opts, n, L, fwr, pairs, []int{0})
-		if err != nil {
-			return nil, err
-		}
-		fastWC, err := ringWorst(opts, n, L, core.Fast{}, pairs, []int{0})
-		if err != nil {
-			return nil, err
-		}
+	for i := 0; i < len(runs); i += 3 {
+		cheapWC, fwrWC, fastWC := runs[i].wc, runs[i+1].wc, runs[i+2].wc
+		e := runs[i].e
 		ratio := float64(cheapWC.Time.Value) / float64(fwrWC.Time.Value)
 		ratios = append(ratios, ratio)
 		if fwrWC.Cost.Value > core.RelabelingCostSafe(e, 2) {
 			costOK = false
 		}
-		t.AddRow(L, float64(cheapWC.Time.Value)/float64(e), float64(fwrWC.Time.Value)/float64(e),
+		t.AddRow(runs[i].doc.L, float64(cheapWC.Time.Value)/float64(e), float64(fwrWC.Time.Value)/float64(e),
 			ratio, float64(fwrWC.Cost.Value)/float64(e), float64(fastWC.Cost.Value)/float64(e))
 	}
 	// The separation widens with L: Θ(L) vs Θ(L^{1/2}).

@@ -12,10 +12,8 @@ import (
 	"rendezvous/internal/sim"
 )
 
-// The canonical configuration-space generators. These are the
-// generators the benchmark experiments have always used (internal/bench
-// delegates here), exported so scenario files, experiments and tests
-// share one definition of each space.
+// The canonical configuration-space generators, exported so scenario
+// files, experiments and tests share one definition of each space.
 
 // AllLabelPairs returns all ordered pairs of distinct labels in {1..L},
 // in the engine's canonical order (the same order sim.SearchSpace
@@ -388,8 +386,14 @@ func (s *Search) compile(opts Options, standalone bool) (model.Model, error) {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
 	}
+	// Refused here, before any front end consults a result store, so
+	// a hit cannot mask the forcing error (see adversary.ValidateTier).
+	spec := adversary.Spec{Graph: g, Explorer: ex, ScheduleFor: scheduleFor}
+	if err := adversary.ValidateTier(spec, adversary.Options{Tier: tier}); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
 	return adversary.PaperModel{
-		Spec:        adversary.Spec{Graph: g, Explorer: ex, ScheduleFor: scheduleFor},
+		Spec:        spec,
 		Space:       space,
 		Tier:        tier,
 		TableBudget: opts.TableBudget,

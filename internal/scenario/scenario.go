@@ -5,9 +5,11 @@
 // denotes exactly one search; a scenario file bundles the searches of
 // one experiment. Every front end that accepts searches — both body
 // forms of the rdvd daemon's /search and /shard (the inline fields are
-// lowered onto a Search), rdvbench -scenario — validates and compiles
-// through this package, so there is one validator and one caps table
-// and the accepted surface cannot drift between them.
+// lowered onto a Search), rdvbench -scenario, and the bench
+// experiments, which run the committed documents of examples/scenarios
+// — validates and compiles through this package, so there is one
+// validator and one caps table and the accepted surface cannot drift
+// between them.
 //
 // The format is deliberately generator-friendly: a document can spell
 // its configuration space either explicitly (labelPairs, startPairs,
@@ -174,8 +176,7 @@ type Search struct {
 
 // File bundles the searches of one experiment: a versioned, named list
 // of Search documents, optionally bound to the internal/bench
-// experiment it mirrors (Experiment) so the equivalence harness can
-// verify the two bit for bit.
+// experiment it defines (Experiment).
 type File struct {
 	// Version is the format version (== 1). Required.
 	Version int `json:"version"`
@@ -183,8 +184,8 @@ type File struct {
 	Name  string   `json:"name,omitempty"`
 	Notes []string `json:"notes,omitempty"`
 	// Experiment names the internal/bench experiment (e.g. "E3") whose
-	// engine searches this file re-expresses, in order. Empty for
-	// standalone files.
+	// engine searches this file defines, in the order the experiment
+	// reads them. Empty for standalone files.
 	Experiment string `json:"experiment,omitempty"`
 	// Searches are the file's searches, in canonical order.
 	Searches []Search `json:"searches"`

@@ -86,6 +86,7 @@ func TestCompileRejections(t *testing.T) {
 		{"equal starts", `{"version":1,"graph":{"family":"ring","n":8},"algorithm":"cheap","l":4,"startPairs":[[3,3]]}`, "distinct start nodes"},
 		{"negative delay", `{"version":1,"graph":{"family":"ring","n":8},"algorithm":"cheap","l":4,"delays":[-1]}`, "want 0.."},
 		{"delay over the cap", `{"version":1,"graph":{"family":"ring","n":8},"algorithm":"cheap","l":4,"delays":[1048577]}`, "want 0..1048576"},
+		{"ring tier off the ring", `{"version":1,"graph":{"family":"grid","rows":3,"cols":3},"algorithm":"cheap","l":3,"delays":[0],"tier":"ring"}`, "not ring-eligible"},
 		{"range pattern explosion", `{"version":1,"graph":{"family":"ring","n":400},"explorer":"unmarked-dfs","algorithm":"cheap","l":4,"delayPattern":"range"}`, "over the 65536 cap"},
 	}
 	for _, tc := range cases {

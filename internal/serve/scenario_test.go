@@ -197,3 +197,29 @@ func TestScenarioDistributed(t *testing.T) {
 		t.Error("distributing an unknown-model scenario must fail")
 	}
 }
+
+// TestForcedTierRefusedAfterCacheFill: forcing a tier the search cannot
+// run (the ring tier on a grid) in a scenario body is a 400, on an
+// empty store and after the auto-tier result of the same search has
+// been cached. The fingerprint excludes the tier, so a store hit must
+// not answer for the forced request.
+func TestForcedTierRefusedAfterCacheFill(t *testing.T) {
+	_, ts := newTestServer(t)
+	const auto = `{"graph":{"family":"grid","rows":3,"cols":3},"algorithm":"cheap","l":3,"delays":[0]}`
+	const forced = `{"scenario":{"version":1,"graph":{"family":"grid","rows":3,"cols":3},"algorithm":"cheap","l":3,"delays":[0],"tier":"ring"}}`
+	refused := func(when string) {
+		t.Helper()
+		status, out := postSearch(t, ts.URL, forced)
+		if status != http.StatusBadRequest || !strings.Contains(out.Error, "not ring-eligible") {
+			t.Errorf("%s: status %d cached %v error %q, want 400 naming the ineligible tier", when, status, out.Cached, out.Error)
+		}
+	}
+	refused("empty store")
+	for i, wantCached := range []bool{false, true} {
+		status, out := postSearch(t, ts.URL, auto)
+		if status != http.StatusOK || out.Cached != wantCached {
+			t.Fatalf("auto-tier search %d: status %d cached %v (%s)", i, status, out.Cached, out.Error)
+		}
+	}
+	refused("after a cache fill")
+}
